@@ -639,50 +639,92 @@ pub fn expand_with_stats(
     key_names: &[&str],
     max_depth: usize,
 ) -> (Vec<Table>, ExpandStats) {
-    let (out, _, stats) = expand_with_key_hashes(candidates, key_names, max_depth);
+    let mut out = Vec::with_capacity(candidates.len());
+    let (_, stats) = expand_streamed(candidates, key_names, max_depth, |t, _| out.push(t));
     (out, stats)
 }
 
-/// [`expand_with_stats`] plus each output table's per-row source-key
-/// hashes where the join engine could derive them (see [`KeyHashes`]) —
-/// `hashes[i]` pairs with `out[i]`. The traversal feeds these to
+/// How one expanded table was produced — enough to produce it again.
+enum Recipe {
+    /// A key-carrying candidate, passed through.
+    Candidate(usize),
+    /// `candidates[start] ⋈ fold(path)`, under this output name.
+    Joined { start: usize, path: Vec<usize>, name: String },
+}
+
+/// What [`expand_streamed`] leaves behind: the join engine with its warm
+/// memo and the recipe of every table it emitted, so that the few tables
+/// the traversal selects can be joined again after the many it did not
+/// select have been dropped.
+pub(crate) struct Expansions<'t> {
+    engine: JoinEngine<'t>,
+    recipes: Vec<Recipe>,
+}
+
+impl Expansions<'_> {
+    /// The `i`-th emitted table again, byte-identical to its first
+    /// emission (one final join against the memoized suffix; counters are
+    /// not touched).
+    pub(crate) fn materialise(&mut self, i: usize, key_names: &[&str]) -> Table {
+        match &self.recipes[i] {
+            Recipe::Candidate(c) => self.engine.candidates[*c].clone(),
+            Recipe::Joined { start, path, name } => {
+                let (mut joined, _, _) = self
+                    .engine
+                    .join_path(*start, path, key_names, &mut ExpandStats::default())
+                    .expect("this path joined when it was first emitted");
+                joined.set_name(name);
+                joined
+            }
+        }
+    }
+}
+
+/// Algorithm 5, one table at a time: every expanded table (in [`expand`]'s
+/// order) is handed to `sink` together with its per-row source-key hashes
+/// where the join engine could derive them (see [`KeyHashes`]; the
+/// traversal feeds them to
 /// [`AlignmentMatrix::build_hashed`](crate::matrix::AlignmentMatrix) so
-/// alignment skips re-hashing the rows Expand just emitted.
-pub(crate) fn expand_with_key_hashes(
-    candidates: &[Table],
+/// alignment skips re-hashing the rows Expand just emitted). Expand keeps
+/// no emitted table: the traversal uses a fraction of what Expand joins
+/// (7 % on TP-TR Med), and holding every expansion until selection was the
+/// pipeline's memory peak. The rare exact duplicate check joins the earlier
+/// table again.
+pub(crate) fn expand_streamed<'t>(
+    candidates: &'t [Table],
     key_names: &[&str],
     max_depth: usize,
-) -> (Vec<Table>, Vec<KeyHashes>, ExpandStats) {
+    mut sink: impl FnMut(Table, KeyHashes),
+) -> (Expansions<'t>, ExpandStats) {
     let ins = crate::telemetry::instruments();
     let mut stats = ExpandStats::default();
     let n = candidates.len();
+    let mut done =
+        Expansions { engine: JoinEngine::new(candidates), recipes: Vec::with_capacity(n) };
     let ends: FxHashSet<usize> = (0..n).filter(|&i| has_key(&candidates[i], key_names)).collect();
-    if ends.len() == n {
-        return (candidates.to_vec(), vec![None; n], stats);
-    }
-    // Precompute pairwise weights over cached per-column distinct sets.
-    let cache = DistinctCache::new(candidates);
+    // Precompute pairwise weights over cached per-column distinct sets
+    // (nothing to join when every candidate carries the key).
     let mut weights: Vec<Vec<Option<f64>>> = vec![vec![None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let w = join_weight((i, &candidates[i]), (j, &candidates[j]), &cache);
-            weights[i][j] = w;
-            weights[j][i] = w;
+    if ends.len() < n {
+        let cache = DistinctCache::new(candidates);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let w = join_weight((i, &candidates[i]), (j, &candidates[j]), &cache);
+                weights[i][j] = w;
+                weights[j][i] = w;
+            }
         }
     }
-    let mut engine = JoinEngine::new(candidates);
     // Dedup state: shape (sorted column names, row count) → kept
-    // expansions of that shape, each with its `out` index and the
+    // expansions of that shape, each with its emission index and the
     // fingerprint folded during its join. Only fingerprint matches run
     // the exact multiset comparison.
     type ShapeBucket = Vec<(usize, u64)>;
     let mut seen: FxHashMap<(Vec<String>, usize), ShapeBucket> = FxHashMap::default();
-    let mut out: Vec<Table> = Vec::with_capacity(n);
-    let mut out_hashes: Vec<KeyHashes> = Vec::with_capacity(n);
     for (i, candidate) in candidates.iter().enumerate() {
         if ends.contains(&i) {
-            out.push(candidate.clone());
-            out_hashes.push(None);
+            done.recipes.push(Recipe::Candidate(i));
+            sink(candidate.clone(), None);
             continue;
         }
         let _span = gent_obs::span_timed("expand_candidate", ins.stage_expand_candidate.clone());
@@ -690,7 +732,7 @@ pub(crate) fn expand_with_key_hashes(
         let paths = best_paths(i, &weights, &ends, max_depth, &mut stats.paths_considered);
         for (k, path) in paths.into_iter().enumerate() {
             let Some((mut joined, fp, key_hashes)) =
-                engine.join_path(i, &path, key_names, &mut stats)
+                done.engine.join_path(i, &path, key_names, &mut stats)
             else {
                 continue;
             };
@@ -700,19 +742,22 @@ pub(crate) fn expand_with_key_hashes(
             let mut shape: Vec<String> = joined.schema().columns().map(str::to_string).collect();
             shape.sort_unstable();
             let bucket = seen.entry((shape, joined.n_rows())).or_default();
-            let dup = bucket.iter().any(|&(x, xfp)| xfp == fp && same_relation(&out[x], &joined));
+            let dup = bucket.iter().any(|&(x, xfp)| {
+                xfp == fp && same_relation(&done.materialise(x, key_names), &joined)
+            });
             if dup {
                 stats.dedup_dropped += 1;
                 continue;
             }
-            bucket.push((out.len(), fp));
+            bucket.push((done.recipes.len(), fp));
             // `k` enumerates all of this start's ranked paths — including
             // failed and deduplicated ones — so the surviving tables keep
             // the exact names the reference implementation gives them.
             let suffix = if k == 0 { String::new() } else { format!("#{}", k + 1) };
-            joined.set_name(format!("{}+expanded{suffix}", candidates[i].name()));
-            out.push(joined);
-            out_hashes.push(key_hashes);
+            let name = format!("{}+expanded{suffix}", candidates[i].name());
+            joined.set_name(&name);
+            done.recipes.push(Recipe::Joined { start: i, path, name });
+            sink(joined, key_hashes);
             produced += 1;
         }
         if produced == 0 {
@@ -723,7 +768,7 @@ pub(crate) fn expand_with_key_hashes(
     ins.expand_memo_hits.add(stats.memo_hits);
     ins.expand_candidates_dropped.add(stats.candidates_dropped);
     ins.expand_dedup.add(stats.dedup_dropped);
-    (out, out_hashes, stats)
+    (done, stats)
 }
 
 pub mod reference {
@@ -1081,7 +1126,17 @@ mod tests {
         // Keyless starts joined through A hand per-row source-key hashes
         // to matrix build; each must equal hashing the output row's key
         // cells from scratch.
-        let (expanded, hashes, _) = expand_with_key_hashes(&candidates(), &["ID"], 3);
+        let cands = candidates();
+        let (mut expanded, mut hashes) = (Vec::new(), Vec::new());
+        let (mut expansions, _) = expand_streamed(&cands, &["ID"], 3, |t, h| {
+            expanded.push(t);
+            hashes.push(h);
+        });
+        // Joining an emitted table again reproduces it exactly.
+        for (i, t) in expanded.iter().enumerate() {
+            let again = expansions.materialise(i, &["ID"]);
+            assert_eq!(&again, t, "expansion {i}");
+        }
         let mut handed = 0;
         for (t, h) in expanded.iter().zip(&hashes) {
             let Some(h) = h else { continue };

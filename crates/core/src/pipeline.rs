@@ -185,6 +185,10 @@ impl GenT {
                 cache,
             )
         };
+        let verified = cache.verification();
+        ins.candidates_verified.add(verified.candidates_verified);
+        ins.anchors_tried.add(verified.anchors_tried);
+        ins.aligned_rows_scanned.add(verified.aligned_rows_scanned);
         let discovery = t0.elapsed();
         drop(discovery_span);
         let tables: Vec<Table> = candidates.into_iter().map(|c| c.table).collect();

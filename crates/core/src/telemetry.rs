@@ -16,7 +16,8 @@ pub(crate) struct Instruments {
     pub stage_discovery: Arc<Histogram>,
     /// `…{stage="set_similarity"}` — the Set Similarity sub-stage alone.
     pub stage_set_similarity: Arc<Histogram>,
-    /// `…{stage="expand"}` — Algorithm 5 join-path search.
+    /// `…{stage="expand"}` — Algorithm 5 join-path search and joins, with
+    /// the matrix alignment of each table as it is emitted.
     pub stage_expand: Arc<Histogram>,
     /// `…{stage="expand_candidate"}` — one keyless candidate's path search
     /// plus join folding inside Expand.
@@ -27,6 +28,15 @@ pub(crate) struct Instruments {
     pub stage_integration: Arc<Histogram>,
     /// `gent_pipeline_reclaims_total` — reclamations run.
     pub reclaims: Arc<Counter>,
+    /// `gent_discovery_candidates_verified_total` — candidate tables run
+    /// through Set Similarity's row-level verification.
+    pub candidates_verified: Arc<Counter>,
+    /// `gent_discovery_anchors_tried_total` — verification anchors that
+    /// aligned rows and had their column support counted.
+    pub anchors_tried: Arc<Counter>,
+    /// `gent_discovery_aligned_rows_scanned_total` — candidate rows read
+    /// while counting support (a low-cardinality anchor aligns thousands).
+    pub aligned_rows_scanned: Arc<Counter>,
     /// `gent_traversal_rounds_total` — greedy rounds across all reclaims.
     pub rounds: Arc<Counter>,
     /// `gent_traversal_rows_rescored_total` — dirty-row kernel rescores.
@@ -71,6 +81,21 @@ pub(crate) fn instruments() -> &'static Instruments {
             reclaims: reg.counter(
                 "gent_pipeline_reclaims_total",
                 "Reclamations run by this process",
+                &[],
+            ),
+            candidates_verified: reg.counter(
+                "gent_discovery_candidates_verified_total",
+                "Candidate tables run through row-level verification",
+                &[],
+            ),
+            anchors_tried: reg.counter(
+                "gent_discovery_anchors_tried_total",
+                "Verification anchors that aligned rows and had their support counted",
+                &[],
+            ),
+            aligned_rows_scanned: reg.counter(
+                "gent_discovery_aligned_rows_scanned_total",
+                "Candidate rows read while counting anchor support",
                 &[],
             ),
             rounds: reg.counter(

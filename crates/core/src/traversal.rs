@@ -24,7 +24,7 @@
 //! to a full rescan (see `crates/core/src/round.rs` for the argument).
 
 use crate::config::GenTConfig;
-use crate::expand::{expand_with_key_hashes, ExpandStats};
+use crate::expand::{expand_streamed, ExpandStats};
 use crate::matrix::AlignmentMatrix;
 use crate::round::{RoundScorer, RoundStats};
 use gent_table::Table;
@@ -33,8 +33,10 @@ use gent_table::Table;
 /// in selection order, plus the matrix-estimated EIS reached.
 #[derive(Debug, Clone)]
 pub struct TraversalOutcome {
-    /// Originating tables, best-first. These are *moved* out of the
-    /// expanded candidate set — the traversal never clones table storage.
+    /// Originating tables, best-first, in their expanded form. Expansions
+    /// are scored as Expand emits them and dropped; these few are joined
+    /// again after selection (key-carrying candidates share the caller's
+    /// row storage).
     pub originating: Vec<Table>,
     /// For each entry of `originating`, its index into the traversal's
     /// *internal* scored list — the candidates after Expand (which joins
@@ -65,30 +67,37 @@ pub fn matrix_traversal(
     cfg: &GenTConfig,
 ) -> TraversalOutcome {
     let key_names: Vec<&str> = source.schema().key_names();
-    // Line 3: Expand() — join tables without the source key. Joined tables
-    // come back with per-row source-key hashes where the join engine could
-    // derive them, so alignment below skips re-hashing those rows.
-    let (expanded, key_hashes, expand_stats) = {
+    // Lines 3–4: Expand() — join tables without the source key — fused
+    // with MatrixInitialization(): each expanded table is aligned the
+    // moment Expand emits it and then dropped, keeping only its matrix.
+    // The traversal selects a handful of the tables Expand joins, so the
+    // selected ones are joined again at the end instead of holding every
+    // expansion until then. Joined tables arrive with per-row source-key
+    // hashes where the join engine could derive them, so alignment skips
+    // re-hashing those rows.
+    let mut tables: Vec<usize> = Vec::new(); // emission index per scored table
+    let mut matrices: Vec<AlignmentMatrix> = Vec::new();
+    let (mut expansions, expand_stats) = {
         let ins = crate::telemetry::instruments();
         let _span = gent_obs::span_timed("expand", ins.stage_expand.clone());
-        expand_with_key_hashes(candidates, &key_names, cfg.expand_max_depth)
+        let mut emitted = 0usize;
+        expand_streamed(candidates, &key_names, cfg.expand_max_depth, |t, hashes| {
+            if let Some(m) = AlignmentMatrix::build_hashed(
+                source,
+                &t,
+                cfg.three_valued,
+                cfg.max_aligned_per_key,
+                hashes.as_deref(),
+            ) {
+                tables.push(emitted);
+                matrices.push(m);
+            }
+            emitted += 1;
+        })
     };
-
-    // Line 4: MatrixInitialization().
-    let mut tables: Vec<Table> = Vec::with_capacity(expanded.len());
-    let mut matrices: Vec<AlignmentMatrix> = Vec::with_capacity(expanded.len());
-    for (t, hashes) in expanded.into_iter().zip(key_hashes) {
-        if let Some(m) = AlignmentMatrix::build_hashed(
-            source,
-            &t,
-            cfg.three_valued,
-            cfg.max_aligned_per_key,
-            hashes.as_deref(),
-        ) {
-            tables.push(t);
-            matrices.push(m);
-        }
-    }
+    let mut originating = |chosen: &[usize]| {
+        chosen.iter().map(|&i| expansions.materialise(tables[i], &key_names)).collect()
+    };
     if tables.is_empty() {
         return TraversalOutcome {
             originating: Vec::new(),
@@ -105,9 +114,9 @@ pub fn matrix_traversal(
         for m in &matrices[1..] {
             combined = combined.combine(m, cfg.max_aligned_per_key);
         }
-        let selected = (0..tables.len()).collect();
+        let selected: Vec<usize> = (0..tables.len()).collect();
         return TraversalOutcome {
-            originating: tables,
+            originating: originating(&selected),
             selected,
             estimated_eis: combined.eis(),
             stats: RoundStats::default(),
@@ -141,11 +150,7 @@ pub fn matrix_traversal(
 
     let stats = scorer.stats();
     let estimated_eis = scorer.into_combined().eis();
-    // Move the winners out of the candidate list — `chosen` indices are
-    // distinct, so each table is taken exactly once and nothing is cloned.
-    let mut slots: Vec<Option<Table>> = tables.into_iter().map(Some).collect();
-    let originating =
-        chosen.iter().map(|&i| slots[i].take().expect("chosen indices are distinct")).collect();
+    let originating = originating(&chosen);
     TraversalOutcome { originating, selected: chosen, estimated_eis, stats, expand: expand_stats }
 }
 

@@ -69,4 +69,5 @@ pub use minhash::{MinHashSignature, MinHasher};
 pub use retriever::{OverlapRetriever, TableRetriever};
 pub use set_similarity::{
     set_similarity, set_similarity_cached, Candidate, DiscoveryCache, SetSimilarityConfig,
+    VerificationStats,
 };

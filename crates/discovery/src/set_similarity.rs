@@ -33,6 +33,20 @@ use std::sync::Arc;
 /// probed and the count map the posting-list walk produced for it.
 type CountEntry = (FxHashSet<Value>, Arc<FxHashMap<Posting, u32>>);
 
+/// How much work row-level verification did — the counts that explain why
+/// one source's discovery is slow (a low-cardinality anchor aligns every
+/// source row to thousands of candidate rows).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct VerificationStats {
+    /// Candidate tables run through row-level verification.
+    pub candidates_verified: u64,
+    /// Anchors (key mappings and single-column pairs) that aligned at
+    /// least one row and had their support counted.
+    pub anchors_tried: u64,
+    /// Candidate rows read while counting support, summed over anchors.
+    pub aligned_rows_scanned: u64,
+}
+
 /// Memoization shared by the discovery stage across many sources against
 /// one (immutable) lake — the amortisation behind `POST /reclaim/batch`.
 ///
@@ -40,7 +54,9 @@ type CountEntry = (FxHashSet<Value>, Arc<FxHashMap<Posting, u32>>);
 ///
 /// * [`DataLake::containment_counts`] — a full posting-list walk per
 ///   distinct source-column value set; sources sharing a column (or probing
-///   with equal value sets) recompute identical count maps,
+///   with equal value sets) recompute identical count maps. The same count
+///   maps give row-level verification its containments, so no candidate
+///   column's value set is built there at all,
 /// * [`DataLake::column_values`] — the diversification loop re-derives the
 ///   distinct values of the *same lake columns* for every source that
 ///   retrieves them.
@@ -48,8 +64,10 @@ type CountEntry = (FxHashSet<Value>, Arc<FxHashMap<Posting, u32>>);
 /// Both are pure functions of their inputs, so the cache returns the stored
 /// result verbatim (behind an [`Arc`], no clone) and
 /// [`set_similarity_cached`] is bit-identical to [`set_similarity`] —
-/// pinned by the batch-fidelity e2e test. Hit/miss counters feed the
-/// serve tier's batch metrics.
+/// pinned by the batch-fidelity e2e test. The cache lives as long as its
+/// caller keeps it — one request, or one batch — never as long as the lake:
+/// an ingest swap would discard it, and resident memory is a gated number.
+/// Hit/miss counters feed the serve tier's batch metrics.
 #[derive(Debug, Default)]
 pub struct DiscoveryCache {
     /// Count maps keyed by the probe value set. A linear scan with full set
@@ -60,6 +78,7 @@ pub struct DiscoveryCache {
     columns: FxHashMap<Posting, Arc<FxHashSet<Value>>>,
     hits: u64,
     misses: u64,
+    verification: VerificationStats,
 }
 
 impl DiscoveryCache {
@@ -76,6 +95,12 @@ impl DiscoveryCache {
     /// Lookups that had to compute (and store) their result.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// Row-level verification work of the latest discovery run through this
+    /// cache (each run overwrites it; hits and misses accumulate).
+    pub fn verification(&self) -> VerificationStats {
+        self.verification
     }
 
     fn containment_counts(
@@ -146,9 +171,16 @@ struct ColumnMatch {
     overlap: f64,
 }
 
-/// A column mapping with its total support score: `(total, [(source col,
-/// candidate col, per-column score)])`.
-type ScoredMapping = (f64, Vec<(usize, u16, f64)>);
+/// A column mapping: `(source col, candidate col, per-column score)`, the
+/// anchor pairs first.
+pub type Mapping = Vec<(usize, u16, f64)>;
+
+/// A column mapping with its total support score.
+type ScoredMapping = (f64, Mapping);
+
+/// Source rows and the candidate rows they align to, per shared anchor
+/// value: the source rows of one group all align to the same candidate rows.
+type Groups<'a> = Vec<(&'a [usize], &'a [usize])>;
 
 /// Set overlap of two value sets as |a ∩ b| / |a| (containment of `a`).
 fn containment(a: &FxHashSet<Value>, b: &FxHashSet<Value>) -> f64 {
@@ -162,6 +194,91 @@ fn containment(a: &FxHashSet<Value>, b: &FxHashSet<Value>) -> f64 {
 /// injected nulls a correct column still co-occurs on ~(1−p) of aligned
 /// rows, while a wrong column only matches by coincidence.
 const PAIR_SUPPORT_MIN: f64 = 0.05;
+
+/// Aligned groups of at most this many candidate rows are compared cell by
+/// cell; larger ones hash the candidate cells once (see
+/// [`Verifier::count_support`]).
+const DIRECT_COMPARE_ROWS: usize = 2;
+
+/// What one attempt of row-level verification aligns source and candidate
+/// rows on.
+#[derive(Debug, Clone, Copy)]
+pub enum Anchor<'a> {
+    /// The source key mapped onto these candidate columns (one per key
+    /// column, in key order).
+    Key(&'a [u16]),
+    /// One `(source column, candidate column)` pair.
+    Column(usize, u16),
+}
+
+/// What verification needs of the source, built once per request instead
+/// of once per candidate.
+struct SourceProfile<'a> {
+    source: &'a Table,
+    /// Distinct non-null values per column.
+    sets: Vec<FxHashSet<Value>>,
+    /// Non-null cells per column — the pair-consistency denominators.
+    non_null: Vec<usize>,
+    /// Per column, the source rows holding each distinct non-null value:
+    /// rows that share an anchor value align to the same candidate rows.
+    groups: Vec<Vec<Vec<usize>>>,
+    /// Per column, value → its index in `groups`.
+    group_of: Vec<FxHashMap<&'a Value, usize>>,
+    /// `0..n_rows`: a key anchor's groups are the single source rows.
+    row_ids: Vec<usize>,
+    /// Key tuple → source row; on a duplicated key the last row wins.
+    by_key: FxHashMap<Vec<&'a Value>, usize>,
+}
+
+impl<'a> SourceProfile<'a> {
+    fn new(source: &'a Table) -> Self {
+        let n = source.n_cols();
+        let mut sets: Vec<FxHashSet<Value>> = vec![FxHashSet::default(); n];
+        let mut non_null = vec![0usize; n];
+        let mut groups: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n];
+        let mut group_of: Vec<FxHashMap<&Value, usize>> = vec![FxHashMap::default(); n];
+        let mut by_key: FxHashMap<Vec<&Value>, usize> = FxHashMap::default();
+        let key = source.schema().key();
+        for (si, row) in source.rows().iter().enumerate() {
+            for (c, v) in row.iter().enumerate().filter(|(_, v)| !v.is_null_like()) {
+                non_null[c] += 1;
+                let g = *group_of[c].entry(v).or_insert_with(|| {
+                    sets[c].insert(v.clone());
+                    groups[c].push(Vec::new());
+                    groups[c].len() - 1
+                });
+                groups[c][g].push(si);
+            }
+            // Null-like key cells never align (a candidate's are skipped
+            // too), so such rows need no entry.
+            if !key.is_empty() && key.iter().all(|&k| !row[k].is_null_like()) {
+                by_key.insert(key.iter().map(|&k| &row[k]).collect(), si);
+            }
+        }
+        let row_ids = (0..source.n_rows()).collect();
+        SourceProfile { source, sets, non_null, groups, group_of, row_ids, by_key }
+    }
+}
+
+/// Bucket `(group, candidate row)` alignment hits by group — a counting
+/// sort, so rows stay ascending within a bucket. Returns the bucket bounds
+/// (`n_groups + 1` offsets) and the bucketed candidate rows.
+fn bucket_by_group(n_groups: usize, hits: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+    let mut bounds = vec![0usize; n_groups + 1];
+    for &(g, _) in hits {
+        bounds[g + 1] += 1;
+    }
+    for g in 0..n_groups {
+        bounds[g + 1] += bounds[g];
+    }
+    let mut next = bounds.clone();
+    let mut rows = vec![0usize; hits.len()];
+    for &(g, ri) in hits {
+        rows[next[g]] = ri;
+        next[g] += 1;
+    }
+    (bounds, rows)
+}
 
 /// Instance-based schema matching with row-level verification.
 ///
@@ -186,219 +303,360 @@ const PAIR_SUPPORT_MIN: f64 = 0.05;
 ///    aligned rows) instead of letting `partkey` masquerade as some other
 ///    key-shaped column.
 ///
-/// Returns `None` when no anchor produces a supported mapping — such
-/// candidates are discarded.
-pub fn verified_mapping(source: &Table, table: &Table, tau: f64) -> Option<Vec<(usize, u16, f64)>> {
-    let skey = source.schema().key();
-    if skey.is_empty() {
-        return None;
-    }
-    // Distinct value sets.
-    let src_sets: Vec<FxHashSet<Value>> =
-        (0..source.n_cols()).map(|c| source.distinct_values(c)).collect();
-    let cand_sets: Vec<FxHashSet<Value>> =
-        (0..table.n_cols()).map(|c| table.distinct_values(c)).collect();
+/// One verifier serves every candidate of a request: the source side is
+/// profiled once, containments come from the index walks the request has
+/// already made, and the counting scratch is reused.
+/// `docs/set-similarity.md` has the cost model and the argument that the
+/// counts equal a cell-by-cell scan's.
+struct Verifier<'a> {
+    profile: &'a SourceProfile<'a>,
+    lake: &'a DataLake,
+    /// Per source column, the index walk's hit count per lake column:
+    /// `counts[sc][p]` is |source column ∩ lake column `p`|, so containment
+    /// needs no per-candidate set. `None` for an all-null source column.
+    counts: Vec<Option<Arc<FxHashMap<Posting, u32>>>>,
+    /// Support counts of the anchor being scored, `[sc * n_cand_cols + cc]`.
+    hits: Vec<u32>,
+    /// Distinct cells of one aligned group → bit set of the candidate
+    /// columns (of the current block of 64) holding them.
+    cells: FxHashMap<&'a Value, u64>,
+    /// Work done so far; the run leaves it in its [`DiscoveryCache`].
+    stats: VerificationStats,
+}
 
-    // --- key anchors -----------------------------------------------------
-    let mut key_anchor_best: Option<ScoredMapping> = None;
-    let mut key_options: Vec<Vec<u16>> = Vec::with_capacity(skey.len());
-    let mut have_all_key_options = true;
-    for &kc in skey {
-        let mut opts: Vec<(u16, f64)> = (0..table.n_cols())
-            .map(|c| (c as u16, containment(&src_sets[kc], &cand_sets[c])))
+impl<'a> Verifier<'a> {
+    fn new(
+        profile: &'a SourceProfile<'a>,
+        lake: &'a DataLake,
+        counts: Vec<Option<Arc<FxHashMap<Posting, u32>>>>,
+    ) -> Self {
+        Verifier {
+            profile,
+            lake,
+            counts,
+            hits: Vec::new(),
+            cells: FxHashMap::default(),
+            stats: VerificationStats::default(),
+        }
+    }
+
+    /// A verifier for the entry points that verify outside a discovery run
+    /// (over a one-table lake), walking the index itself.
+    fn standalone(profile: &'a SourceProfile<'a>, lake: &'a DataLake) -> Self {
+        let counts = profile
+            .sets
+            .iter()
+            .map(|set| (!set.is_empty()).then(|| Arc::new(lake.containment_counts(set))))
+            .collect();
+        Verifier::new(profile, lake, counts)
+    }
+
+    /// Up to three candidate columns containing source column `sc` best
+    /// (containment ≥ τ; ties go to the lower column).
+    fn anchor_options(&self, sc: usize, ti: u32, tau: f64) -> Vec<u16> {
+        let distinct = self.profile.sets[sc].len();
+        let mut opts: Vec<(u16, f64)> = (0..self.lake.table(ti as usize).n_cols() as u16)
+            .map(|column| {
+                let hits =
+                    self.counts[sc].as_ref().and_then(|c| c.get(&Posting { table: ti, column }));
+                let overlap = match (distinct, hits) {
+                    (0, _) | (_, None) => 0.0,
+                    (_, Some(&hits)) => hits as f64 / distinct as f64,
+                };
+                (column, overlap)
+            })
             .filter(|&(_, o)| o >= tau)
             .collect();
         opts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         opts.truncate(3);
-        if opts.is_empty() {
-            have_all_key_options = false;
-            break;
-        }
-        key_options.push(opts.into_iter().map(|(c, _)| c).collect());
+        opts.into_iter().map(|(c, _)| c).collect()
     }
-    if have_all_key_options {
-        // Enumerate key-mapping combos (≤ 3^|key|; keys are 1–2 columns).
-        let mut combos: Vec<Vec<u16>> = vec![Vec::new()];
-        for opts in &key_options {
-            let mut next = Vec::new();
-            for combo in &combos {
-                for &o in opts {
-                    if !combo.contains(&o) {
-                        let mut c = combo.clone();
-                        c.push(o);
-                        next.push(c);
-                    }
-                }
-            }
-            combos = next;
-        }
-        let mut src_by_key: FxHashMap<gent_table::KeyValue, usize> = FxHashMap::default();
-        for i in 0..source.n_rows() {
-            if let Some(kv) = source.key_of_row(i) {
-                src_by_key.insert(kv, i);
-            }
-        }
-        let mut best: Option<ScoredMapping> = None;
-        for key_combo in combos {
-            let key_cols: Vec<usize> = key_combo.iter().map(|&c| c as usize).collect();
-            let mut aligned_by_src: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-            for (ri, row) in table.rows().iter().enumerate() {
-                if let Some(kv) = Table::key_from_row(row, &key_cols) {
-                    if let Some(&si) = src_by_key.get(&kv) {
-                        aligned_by_src.entry(si).or_default().push(ri);
-                    }
-                }
-            }
-            if aligned_by_src.is_empty() {
+
+    /// Candidate rows aligned to a source row by equality on a key mapping,
+    /// as `(source row, candidate row)` hits.
+    fn key_hits(&self, table: &Table, key_cols: &[u16]) -> Vec<(usize, usize)> {
+        let mut hits = Vec::new();
+        let mut probe: Vec<&Value> = Vec::with_capacity(key_cols.len());
+        for (ri, row) in table.rows().iter().enumerate() {
+            probe.clear();
+            probe.extend(key_cols.iter().map(|&c| &row[c as usize]));
+            if probe.iter().any(|v| v.is_null_like()) {
                 continue;
             }
-            let anchor_src: Vec<usize> = skey.to_vec();
-            let anchor_mapping: Vec<(usize, u16, f64)> =
-                skey.iter().zip(key_combo.iter()).map(|(&sc, &cc)| (sc, cc, 1.0)).collect();
-            if let Some((total, mapping)) = assign_with_support(
-                source,
-                table,
-                &aligned_by_src,
-                &anchor_src,
-                &key_combo,
-                anchor_mapping,
-            ) {
-                match &best {
-                    Some((t, _)) if *t >= total => {}
-                    _ => best = Some((total, mapping)),
-                }
+            if let Some(&si) = self.profile.by_key.get(&probe) {
+                hits.push((si, ri));
             }
         }
-        key_anchor_best = best;
+        hits
     }
 
-    // --- single-column anchors --------------------------------------------
-    // Evaluated even when a key anchor exists: a coincidental key anchor
-    // (FK values aliasing the key range) must lose to a well-supported
-    // non-key anchor on score, not win by fiat.
-    let mut best: Option<ScoredMapping> = None;
-    for asc in 0..source.n_cols() {
-        if src_sets[asc].is_empty() {
-            continue;
-        }
-        // Top anchor columns by containment.
-        let mut opts: Vec<(u16, f64)> = (0..table.n_cols())
-            .map(|c| (c as u16, containment(&src_sets[asc], &cand_sets[c])))
-            .filter(|&(_, o)| o >= tau)
+    /// Candidate rows whose `acc` cell equals some source cell of column
+    /// `asc`, as `(source group, candidate row)` hits: one probe of the
+    /// source's small value map per candidate row, nothing built per
+    /// candidate column.
+    fn column_hits(&self, table: &Table, asc: usize, acc: u16) -> Vec<(usize, usize)> {
+        let group_of = &self.profile.group_of[asc];
+        table
+            .column(acc as usize)
+            .enumerate()
+            .filter(|(_, v)| !v.is_null_like())
+            .filter_map(|(ri, v)| group_of.get(v).map(|&g| (g, ri)))
+            .collect()
+    }
+
+    /// Count, for every non-anchor `(source column, candidate column)`
+    /// pair, the aligned source rows whose cell occurs in that candidate
+    /// column among the rows they align to; the counts land in `self.hits`.
+    /// Returns the number of aligned source rows.
+    ///
+    /// Each group's candidate rows are read once: their distinct cells go
+    /// into one map carrying the columns each occurs in, and every source
+    /// cell of the group is answered by one probe. A group of one or two
+    /// candidate rows is cheaper to compare directly.
+    fn count_support(
+        &mut self,
+        table: &'a Table,
+        groups: &[(&[usize], &[usize])],
+        anchor: &[(usize, u16)],
+    ) -> usize {
+        let source = self.profile.source;
+        let n_cand_cols = table.n_cols();
+        let src_cols: Vec<usize> = (0..source.n_cols())
+            .filter(|sc| anchor.iter().all(|a| a.0 != *sc) && self.profile.non_null[*sc] > 0)
             .collect();
-        opts.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        opts.truncate(3);
-        for (acc, _) in opts {
-            // Align by value equality on the anchor pair.
-            let mut by_value: FxHashMap<&Value, Vec<usize>> = FxHashMap::default();
-            for (ri, row) in table.rows().iter().enumerate() {
-                let v = &row[acc as usize];
-                if !v.is_null_like() {
-                    by_value.entry(v).or_default().push(ri);
-                }
-            }
-            let mut aligned_by_src: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-            for (si, row) in source.rows().iter().enumerate() {
-                let v = &row[asc];
-                if v.is_null_like() {
+        let cand_cols: Vec<usize> =
+            (0..n_cand_cols).filter(|&cc| anchor.iter().all(|a| a.1 as usize != cc)).collect();
+        self.hits.clear();
+        self.hits.resize(source.n_cols() * n_cand_cols, 0);
+        self.stats.anchors_tried += 1;
+        self.stats.aligned_rows_scanned += groups.iter().map(|g| g.1.len() as u64).sum::<u64>();
+
+        for block in cand_cols.chunks(u64::BITS as usize) {
+            for &(src_rows, cand_rows) in groups {
+                let src_cells = src_rows.iter().flat_map(|&si| {
+                    let row = &source.rows()[si];
+                    src_cols
+                        .iter()
+                        .map(move |&sc| (sc, &row[sc]))
+                        .filter(|(_, v)| !v.is_null_like())
+                });
+                if cand_rows.len() <= DIRECT_COMPARE_ROWS {
+                    for (sc, sv) in src_cells {
+                        for &cc in block {
+                            if cand_rows.iter().any(|&ri| &table.rows()[ri][cc] == sv) {
+                                self.hits[sc * n_cand_cols + cc] += 1;
+                            }
+                        }
+                    }
                     continue;
                 }
-                if let Some(rows) = by_value.get(v) {
-                    aligned_by_src.insert(si, rows.clone());
+                self.cells.clear();
+                for &ri in cand_rows {
+                    let row = &table.rows()[ri];
+                    for (bit, &cc) in block.iter().enumerate() {
+                        if !row[cc].is_null_like() {
+                            *self.cells.entry(&row[cc]).or_insert(0) |= 1 << bit;
+                        }
+                    }
                 }
-            }
-            if aligned_by_src.is_empty() {
-                continue;
-            }
-            let anchor_mapping = vec![(asc, acc, 1.0)];
-            if let Some((total, mapping)) =
-                assign_with_support(source, table, &aligned_by_src, &[asc], &[acc], anchor_mapping)
-            {
-                match &best {
-                    Some((t, _)) if *t >= total => {}
-                    _ => best = Some((total, mapping)),
+                for (sc, sv) in src_cells {
+                    let mut columns = self.cells.get(sv).copied().unwrap_or(0);
+                    while columns != 0 {
+                        let cc = block[columns.trailing_zeros() as usize];
+                        self.hits[sc * n_cand_cols + cc] += 1;
+                        columns &= columns - 1;
+                    }
                 }
             }
         }
+        groups.iter().map(|g| g.0.len()).sum()
     }
-    // Prefer the higher-scoring anchor family; ties go to the key anchor
-    // (alignable without Expand).
-    match (key_anchor_best, best) {
-        (Some((kt, km)), Some((st, sm))) => Some(if st > kt { sm } else { km }),
-        (Some((_, km)), None) => Some(km),
-        (None, Some((_, sm))) => Some(sm),
-        (None, None) => None,
+
+    /// Greedy injective assignment of non-anchor source columns to
+    /// candidate columns by the pair-consistency support in `self.hits`.
+    /// `None` when not a single non-anchor column has support (the anchor
+    /// is then considered a coincidence).
+    fn assign(
+        &self,
+        n_cand_cols: usize,
+        aligned: usize,
+        anchor: &[(usize, u16)],
+    ) -> Option<ScoredMapping> {
+        let source = self.profile.source;
+        let mut pair_scores: Vec<(usize, u16, f64)> = Vec::new();
+        let mut verifiable_cols = 0usize;
+        for sc in (0..source.n_cols()).filter(|sc| anchor.iter().all(|a| a.0 != *sc)) {
+            let denom = self.profile.non_null[sc];
+            if denom == 0 {
+                continue; // an all-null source column can neither support nor refute
+            }
+            verifiable_cols += 1;
+            for cc in (0..n_cand_cols as u16).filter(|cc| anchor.iter().all(|a| a.1 != *cc)) {
+                let score = self.hits[sc * n_cand_cols + cc as usize] as f64 / denom as f64;
+                if score >= PAIR_SUPPORT_MIN {
+                    pair_scores.push((sc, cc, score));
+                }
+            }
+        }
+        pair_scores.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2).expect("finite").then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1))
+        });
+        let mut mapping: Mapping = anchor.iter().map(|&(sc, cc)| (sc, cc, 1.0)).collect();
+        let mut total = aligned as f64 / source.n_rows().max(1) as f64;
+        let n_anchor = mapping.len();
+        for (sc, cc, score) in pair_scores {
+            if mapping.iter().any(|m| m.0 == sc || m.1 == cc) {
+                continue;
+            }
+            total += score;
+            mapping.push((sc, cc, score));
+        }
+        // Reject the anchor as a coincidence only when verification was
+        // actually possible: if every non-anchor source column is entirely
+        // null, the anchor alignment is all the evidence there can be.
+        if mapping.len() == n_anchor && verifiable_cols > 0 {
+            return None;
+        }
+        Some((total, mapping))
+    }
+
+    /// Align lake table `ti` on `anchor` and count support into
+    /// `self.hits`. Returns the number of aligned source rows and the anchor
+    /// as `(source column, candidate column)` pairs; `None` when the anchor
+    /// aligns no row.
+    fn support(&mut self, ti: u32, anchor: Anchor<'_>) -> Option<(usize, Vec<(usize, u16)>)> {
+        let profile = self.profile;
+        let table = self.lake.table(ti as usize);
+        // Source rows per group, hits per candidate row, and the anchor's
+        // column pairs: a key anchor's groups are the single source rows, a
+        // column anchor's the rows sharing one anchor value.
+        let (src_groups, hits, pairs): (Vec<&[usize]>, _, Vec<(usize, u16)>) = match anchor {
+            Anchor::Key(key_cols) => (
+                profile.row_ids.chunks(1).collect(),
+                self.key_hits(table, key_cols),
+                profile
+                    .source
+                    .schema()
+                    .key()
+                    .iter()
+                    .copied()
+                    .zip(key_cols.iter().copied())
+                    .collect(),
+            ),
+            Anchor::Column(asc, acc) => (
+                profile.groups[asc].iter().map(Vec::as_slice).collect(),
+                self.column_hits(table, asc, acc),
+                vec![(asc, acc)],
+            ),
+        };
+        if hits.is_empty() {
+            return None;
+        }
+        let (bounds, cand_rows) = bucket_by_group(src_groups.len(), &hits);
+        let groups: Groups<'_> = src_groups
+            .iter()
+            .zip(bounds.windows(2))
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(&src, w)| (src, &cand_rows[w[0]..w[1]]))
+            .collect();
+        Some((self.count_support(table, &groups, &pairs), pairs))
+    }
+
+    /// The best-supported mapping of lake table `ti` onto the source, or
+    /// `None` when no anchor produces a supported mapping — such candidates
+    /// are discarded.
+    fn verify(&mut self, ti: u32, tau: f64) -> Option<Mapping> {
+        let profile = self.profile;
+        let skey = profile.source.schema().key();
+        if skey.is_empty() {
+            return None;
+        }
+        let n_cand_cols = self.lake.table(ti as usize).n_cols();
+        self.stats.candidates_verified += 1;
+        // Score one anchor; keep it when it beats the family's best so far.
+        let try_anchor = |this: &mut Self, anchor: Anchor<'_>, best: &mut Option<ScoredMapping>| {
+            let scored = this
+                .support(ti, anchor)
+                .and_then(|(aligned, pairs)| this.assign(n_cand_cols, aligned, &pairs));
+            if let Some((total, mapping)) = scored {
+                if !matches!(best, Some((t, _)) if *t >= total) {
+                    *best = Some((total, mapping));
+                }
+            }
+        };
+
+        // --- key anchors -------------------------------------------------
+        let mut key_best: Option<ScoredMapping> = None;
+        let key_options: Vec<Vec<u16>> =
+            skey.iter().map(|&kc| self.anchor_options(kc, ti, tau)).collect();
+        if key_options.iter().all(|opts| !opts.is_empty()) {
+            // Enumerate key-mapping combos (≤ 3^|key|; keys are 1–2 columns).
+            let mut combos: Vec<Vec<u16>> = vec![Vec::new()];
+            for opts in &key_options {
+                combos = combos
+                    .iter()
+                    .flat_map(|combo| {
+                        opts.iter().filter(|o| !combo.contains(o)).map(move |&o| {
+                            let mut c = combo.clone();
+                            c.push(o);
+                            c
+                        })
+                    })
+                    .collect();
+            }
+            for combo in &combos {
+                try_anchor(self, Anchor::Key(combo), &mut key_best);
+            }
+        }
+
+        // --- single-column anchors ---------------------------------------
+        // Evaluated even when a key anchor exists: a coincidental key anchor
+        // (FK values aliasing the key range) must lose to a well-supported
+        // non-key anchor on score, not win by fiat.
+        let mut column_best: Option<ScoredMapping> = None;
+        for asc in (0..profile.source.n_cols()).filter(|&c| !profile.sets[c].is_empty()) {
+            for acc in self.anchor_options(asc, ti, tau) {
+                try_anchor(self, Anchor::Column(asc, acc), &mut column_best);
+            }
+        }
+        // Prefer the higher-scoring anchor family; ties go to the key anchor
+        // (alignable without Expand).
+        match (key_best, column_best) {
+            (Some((kt, km)), Some((st, sm))) => Some(if st > kt { sm } else { km }),
+            (Some((_, km)), None) => Some(km),
+            (None, Some((_, sm))) => Some(sm),
+            (None, None) => None,
+        }
     }
 }
 
-/// Greedy injective assignment of non-anchor source columns to candidate
-/// columns by pair-consistency support. Returns `(total score, mapping)`;
-/// `None` when not a single non-anchor column has support (the anchor is
-/// then considered a coincidence).
-fn assign_with_support(
-    source: &Table,
-    table: &Table,
-    aligned_by_src: &FxHashMap<usize, Vec<usize>>,
-    anchor_src: &[usize],
-    anchor_cand: &[u16],
-    anchor_mapping: Vec<(usize, u16, f64)>,
-) -> Option<ScoredMapping> {
-    let mut pair_scores: Vec<(usize, u16, f64)> = Vec::new();
-    let mut verifiable_cols = 0usize;
-    for sc in 0..source.n_cols() {
-        if anchor_src.contains(&sc) {
-            continue;
+/// Row-level verification of one table against one source, outside a
+/// discovery run: the mapping [`set_similarity`] would rename `table` by, or
+/// `None` when no anchor is supported.
+pub fn verified_mapping(source: &Table, table: &Table, tau: f64) -> Option<Mapping> {
+    let lake = DataLake::from_tables(vec![table.clone()]);
+    let profile = SourceProfile::new(source);
+    Verifier::standalone(&profile, &lake).verify(0, tau)
+}
+
+/// What row-level verification counts for one anchor: the number of aligned
+/// source rows, and per `[source column][candidate column]` how many of
+/// them find their cell in that candidate column among the rows they align
+/// to (anchor columns and all-null source columns stay 0). Diagnostics, and
+/// the handle the equivalence proptests compare against a cell-by-cell scan.
+///
+/// # Panics
+/// When `anchor` names a column out of range.
+pub fn anchor_support(source: &Table, table: &Table, anchor: Anchor<'_>) -> (usize, Vec<Vec<u32>>) {
+    let lake = DataLake::from_tables(vec![table.clone()]);
+    let profile = SourceProfile::new(source);
+    let mut verifier = Verifier::standalone(&profile, &lake);
+    match verifier.support(0, anchor) {
+        Some((aligned, _)) => {
+            (aligned, verifier.hits.chunks(table.n_cols()).map(<[u32]>::to_vec).collect())
         }
-        let denom = source.rows().iter().filter(|r| !r[sc].is_null_like()).count();
-        if denom == 0 {
-            continue; // an all-null source column can neither support nor refute
-        }
-        verifiable_cols += 1;
-        for cc in 0..table.n_cols() {
-            if anchor_cand.contains(&(cc as u16)) {
-                continue;
-            }
-            let mut hits = 0usize;
-            for (&si, rows) in aligned_by_src {
-                let sv = &source.rows()[si][sc];
-                if sv.is_null_like() {
-                    continue;
-                }
-                if rows.iter().any(|&ri| &table.rows()[ri][cc] == sv) {
-                    hits += 1;
-                }
-            }
-            let score = hits as f64 / denom as f64;
-            if score >= PAIR_SUPPORT_MIN {
-                pair_scores.push((sc, cc as u16, score));
-            }
-        }
+        None => (0, vec![vec![0; table.n_cols()]; source.n_cols()]),
     }
-    pair_scores.sort_by(|a, b| {
-        b.2.partial_cmp(&a.2).expect("finite").then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1))
-    });
-    let mut used_cand: FxHashSet<u16> = anchor_cand.iter().copied().collect();
-    let mut used_src: FxHashSet<usize> = anchor_src.iter().copied().collect();
-    let mut mapping = anchor_mapping;
-    let mut total = aligned_by_src.len() as f64 / source.n_rows().max(1) as f64;
-    let mut assigned = 0usize;
-    for (sc, cc, score) in pair_scores {
-        if used_src.contains(&sc) || used_cand.contains(&cc) {
-            continue;
-        }
-        used_src.insert(sc);
-        used_cand.insert(cc);
-        total += score;
-        assigned += 1;
-        mapping.push((sc, cc, score));
-    }
-    // Reject the anchor as a coincidence only when verification was
-    // actually possible: if every non-anchor source column is entirely
-    // null, the anchor alignment is all the evidence there can be.
-    if assigned == 0 && verifiable_cols > 0 {
-        return None;
-    }
-    Some((total, mapping))
 }
 
 /// Algorithm 3 — discover candidate tables for `source` in `lake`.
@@ -431,13 +689,15 @@ pub fn set_similarity_cached(
     // lake column per (table, source column).
     let mut table_scores: FxHashMap<u32, Vec<f64>> = FxHashMap::default();
     let mut column_assignment: FxHashMap<(u32, usize), (u16, f64)> = FxHashMap::default();
+    let profile = SourceProfile::new(source);
+    let mut counts_by_col: Vec<Option<Arc<FxHashMap<Posting, u32>>>> = vec![None; source.n_cols()];
 
-    for sc in 0..source.n_cols() {
-        let src_values = source.distinct_values(sc);
+    for (sc, src_values) in profile.sets.iter().enumerate() {
         if src_values.is_empty() {
             continue;
         }
-        let counts = cache.containment_counts(lake, &src_values);
+        let counts = cache.containment_counts(lake, src_values);
+        counts_by_col[sc] = Some(Arc::clone(&counts));
         // Best column per table for this source column. The tie-break on
         // the lower column index makes the pick independent of the count
         // map's iteration order — required for cached counts (computed from
@@ -501,6 +761,7 @@ pub fn set_similarity_cached(
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 
     // --- aligned-tuple verification + renaming --------------------------
+    let mut verifier = Verifier::new(&profile, lake, counts_by_col);
     let mut candidates: Vec<Candidate> = Vec::new();
     for (ti, score) in ranked {
         if candidates.len() >= cfg.max_candidates {
@@ -521,7 +782,7 @@ pub fn set_similarity_cached(
         // source key, align rows by key value and score every column match
         // by row co-occurrence — this is what stops a dense numeric column
         // (sizes, quantities) from masquerading as a key column.
-        let mapping: Vec<(usize, u16, f64)> = match verified_mapping(source, table, cfg.tau) {
+        let mapping: Mapping = match verifier.verify(ti, cfg.tau) {
             Some(m) => m,
             None => {
                 // No verified key mapping — keep the containment-greedy
@@ -593,19 +854,16 @@ pub fn set_similarity_cached(
         });
     }
 
+    cache.verification = verifier.stats;
+
     // --- remove candidates subsumed by an earlier (better) candidate ----
+    // Each unordered pair once: a later candidate can only fall to an
+    // earlier one that is still kept.
     let mut keep: Vec<bool> = vec![true; candidates.len()];
-    for i in 0..candidates.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..candidates.len() {
-            if i != j && keep[i] && keep[j] {
-                // Later candidate subsumed by earlier one → drop later.
-                let (hi, lo) = if i < j { (i, j) } else { (j, i) };
-                if keep[lo] && candidates[lo].table.subsumed_by(&candidates[hi].table) {
-                    keep[lo] = false;
-                }
+    for hi in 0..candidates.len() {
+        for lo in hi + 1..candidates.len() {
+            if keep[hi] && keep[lo] {
+                keep[lo] = !candidates[lo].table.subsumed_by(&candidates[hi].table);
             }
         }
     }
@@ -778,9 +1036,12 @@ mod tests {
         assert_eq!(cache.hits(), 0, "first pass has nothing to hit");
         let misses_after_first = cache.misses();
         assert!(misses_after_first > 0);
+        let verified_first = cache.verification();
+        assert!(verified_first.candidates_verified > 0 && verified_first.anchors_tried > 0);
         let second = set_similarity_cached(&lake, &source, None, &cfg, &mut cache);
         assert!(cache.hits() > 0, "second pass must reuse memoized walks");
         assert_eq!(cache.misses(), misses_after_first, "second pass recomputes nothing");
+        assert_eq!(cache.verification(), verified_first, "a run reports its own work");
 
         for (a, b) in fresh.iter().zip(first.iter()).chain(fresh.iter().zip(second.iter())) {
             assert_eq!(a.lake_index, b.lake_index);

@@ -362,17 +362,18 @@ pub fn validate_encoded_value(bytes: &[u8]) -> Result<(), TableError> {
 /// of values reduces to equality of byte strings.
 pub fn encode_value_canonical(v: &Value, w: &mut BinWriter) {
     match v {
-        Value::Float(f) => {
-            // Mirror Value::hash's int/float split exactly.
-            if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+        // The int/float split is `Value`'s own, shared with `==` and `Hash`.
+        Value::Float(f) => match Value::float_as_int(*f) {
+            Some(i) => {
                 w.put_u8(TAG_INT);
-                w.put_i64(*f as i64);
-            } else {
+                w.put_i64(i);
+            }
+            None => {
                 w.put_u8(TAG_FLOAT);
                 let bits = if f.is_nan() { f64::NAN.to_bits() } else { f.to_bits() };
                 w.put_u64(bits);
             }
-        }
+        },
         other => encode_value(other, w),
     }
 }

@@ -16,11 +16,11 @@
 //! with shared storage both are O(schema), not O(rows).
 
 use crate::error::TableError;
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A key tuple: the values of a row's key attributes, in key order.
@@ -312,6 +312,12 @@ impl Table {
     /// True when every row of `self` appears in `other` *and* every column
     /// name of `self` appears in `other` — the "candidate table subsumed by
     /// another candidate" test of Set Similarity (Algorithm 3, line 15).
+    ///
+    /// `other`'s rows (projected onto `self`'s columns) are chained by row
+    /// hash rather than collected into a set of row vectors: no allocation
+    /// per row, and the scan stops at the first row of `self` that is
+    /// missing. Equal rows hash equally because [`Value`]'s `Hash` agrees
+    /// with its `==`.
     pub fn subsumed_by(&self, other: &Table) -> bool {
         if !self.schema.columns().all(|c| other.schema.contains(c)) {
             return false;
@@ -321,9 +327,35 @@ impl Table {
             .columns()
             .map(|c| other.schema.column_index(c).expect("checked contains"))
             .collect();
-        let other_rows: FxHashSet<Vec<&Value>> =
-            other.rows.iter().map(|r| mapping.iter().map(|&j| &r[j]).collect()).collect();
-        self.rows.iter().all(|r| other_rows.contains(&r.iter().collect::<Vec<_>>()))
+        fn row_hash<'v>(cells: impl Iterator<Item = &'v Value>) -> u64 {
+            let mut h = FxHasher::default();
+            cells.for_each(|v| v.hash(&mut h));
+            h.finish()
+        }
+        let same_row = |r: &[Value], o: &[Value]| mapping.iter().zip(r).all(|(&j, v)| o[j] == *v);
+        // One missing row settles it, and between near-duplicate tables the
+        // first rows usually do: look for a few by plain scan before paying
+        // for the index.
+        const SCOUT_ROWS: usize = 4;
+        if !self.rows.iter().take(SCOUT_ROWS).all(|r| other.rows.iter().any(|o| same_row(r, o))) {
+            return false;
+        }
+        // hash → the last row of `other` with it; `prev[i]` → the one before.
+        let mut last: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut prev: Vec<Option<usize>> = vec![None; other.rows.len()];
+        for (i, r) in other.rows.iter().enumerate() {
+            prev[i] = last.insert(row_hash(mapping.iter().map(|&j| &r[j])), i);
+        }
+        self.rows.iter().all(|r| {
+            let mut at = last.get(&row_hash(r.iter())).copied();
+            while let Some(i) = at {
+                if same_row(r, &other.rows[i]) {
+                    return true;
+                }
+                at = prev[i];
+            }
+            false
+        })
     }
 
     /// Count non-null-like cells.
@@ -442,6 +474,37 @@ mod tests {
         let mut other = small.clone();
         other.push_row(vec![V::Int(9), V::str("New")]).unwrap();
         assert!(!other.subsumed_by(&t)); // extra row not in t
+    }
+
+    #[test]
+    fn subsumption_is_by_row_equality_not_by_hash() {
+        // Equal cells of different types (3 vs 3.0) and nulls match;
+        // duplicate rows on either side change nothing; a row that only
+        // shares its first cells with a row of `other` does not.
+        let hi = Table::build(
+            "hi",
+            &["extra", "b", "a"],
+            &[],
+            vec![
+                vec![V::Int(0), V::str("x"), V::Float(3.0)],
+                vec![V::Int(1), V::Null, V::Int(4)],
+                vec![V::Int(2), V::Null, V::Int(4)],
+            ],
+        )
+        .unwrap();
+        let lo = |rows| Table::build("lo", &["a", "b"], &[], rows).unwrap();
+        assert!(lo(vec![]).subsumed_by(&hi));
+        assert!(
+            lo(vec![vec![V::Int(3), V::str("x")], vec![V::Int(3), V::str("x")]]).subsumed_by(&hi)
+        );
+        assert!(lo(vec![vec![V::Float(4.0), V::Null]]).subsumed_by(&hi));
+        assert!(!lo(vec![vec![V::Int(3), V::Null]]).subsumed_by(&hi));
+        assert!(!lo(vec![vec![V::Int(4), V::Null], vec![V::Int(4), V::str("x")]]).subsumed_by(&hi));
+        // Past the rows the plain scan looks for, the index decides.
+        let mut rows = vec![vec![V::Int(3), V::str("x")]; 5];
+        assert!(lo(rows.clone()).subsumed_by(&hi));
+        rows.push(vec![V::Int(4), V::str("x")]);
+        assert!(!lo(rows).subsumed_by(&hi));
     }
 
     #[test]

@@ -66,6 +66,15 @@ impl Value {
         }
     }
 
+    /// The integer a float equals exactly, if any: integral and inside
+    /// `[-2^63, 2^63)`, where the cast neither rounds nor saturates. The one
+    /// definition behind `Int`/`Float` equality, float hashing and the
+    /// canonical byte encoding, so the three cannot disagree.
+    pub(crate) fn float_as_int(f: f64) -> Option<i64> {
+        const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+        (f.fract() == 0.0 && (-TWO_63..TWO_63).contains(&f)).then_some(f as i64)
+    }
+
     /// A small discriminant used for cross-type ordering.
     fn type_rank(&self) -> u8 {
         match self {
@@ -112,9 +121,11 @@ impl PartialEq for Value {
             (Value::Float(a), Value::Float(b)) => Value::float_bits(*a) == Value::float_bits(*b),
             // Ints and floats representing the same number compare equal so
             // that CSV round-trips (e.g. "3" vs "3.0") do not break value
-            // overlap; data lakes are that messy.
+            // overlap; data lakes are that messy. The float must convert to
+            // the int *exactly*: comparing through `a as f64` rounds past
+            // 2^53 and would equate values that `Hash` tells apart.
             (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
-                *b == *a as f64 && b.fract() == 0.0
+                Value::float_as_int(*b) == Some(*a)
             }
             // Clones made by the integration operators share the original
             // `Arc`, so most equal strings are pointer-equal — check that
@@ -145,15 +156,16 @@ impl Hash for Value {
                 3u8.hash(state);
                 i.hash(state);
             }
-            Value::Float(f) => {
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+            Value::Float(f) => match Value::float_as_int(*f) {
+                Some(i) => {
                     3u8.hash(state);
-                    (*f as i64).hash(state);
-                } else {
+                    i.hash(state);
+                }
+                None => {
                     4u8.hash(state);
                     Value::float_bits(*f).hash(state);
                 }
-            }
+            },
             Value::Str(s) => {
                 5u8.hash(state);
                 s.hash(state);
@@ -258,6 +270,35 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
         assert_ne!(Value::Int(3), Value::Float(3.5));
+    }
+
+    /// Past 2^53 an `i64 as f64` cast rounds: equality must not go through
+    /// it, or `==` says yes where `Hash` (and so every `FxHashSet<Value>`)
+    /// says no.
+    #[test]
+    fn int_float_equality_is_exact_past_2_pow_53() {
+        let int = Value::Int(9_007_199_254_740_993); // 2^53 + 1, not a float
+        let float = Value::Float(9_007_199_254_740_992.0); // 2^53
+        assert_ne!(int, float);
+        assert_ne!(float, int);
+        assert_eq!(Value::Int(9_007_199_254_740_992), float);
+        assert_eq!(float, Value::Int(9_007_199_254_740_992));
+        assert_eq!(hash_of(&Value::Int(9_007_199_254_740_992)), hash_of(&float));
+
+        let set: std::collections::HashSet<Value> = [float.clone()].into_iter().collect();
+        assert!(!set.contains(&int), "lookup must agree with ==");
+        assert!(set.contains(&Value::Int(9_007_199_254_740_992)));
+
+        // 2^63 is integral but no i64: the saturating cast must not make it
+        // equal to i64::MAX.
+        let two_63 = Value::Float(9_223_372_036_854_775_808.0);
+        assert_ne!(Value::Int(i64::MAX), two_63);
+        assert_ne!(two_63, Value::Int(i64::MAX));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-9_223_372_036_854_775_808.0));
+        assert_eq!(
+            hash_of(&Value::Int(i64::MIN)),
+            hash_of(&Value::Float(-9_223_372_036_854_775_808.0))
+        );
     }
 
     #[test]

@@ -111,6 +111,9 @@ fn metrics_endpoint_survives_the_strict_parser() {
         // pipeline (process-global registry, fed by the reclaim above)
         "gent_pipeline_stage_duration_us",
         "gent_pipeline_reclaims_total",
+        "gent_discovery_candidates_verified_total",
+        "gent_discovery_anchors_tried_total",
+        "gent_discovery_aligned_rows_scanned_total",
         "gent_traversal_rounds_total",
         "gent_traversal_rows_rescored_total",
         "gent_traversal_candidates_pruned_total",
@@ -162,6 +165,10 @@ fn metrics_endpoint_survives_the_strict_parser() {
     assert!(
         exp.value("gent_store_snapshot_opens_total", &[]).is_some_and(|v| v >= 1.0),
         "the snapshot open must have been counted"
+    );
+    assert!(
+        exp.value("gent_discovery_candidates_verified_total", &[]).is_some_and(|v| v >= 1.0),
+        "the reclaims verified at least one candidate at the row level"
     );
     // The expand counters register with the pipeline instruments, so they
     // render even when this lake's reclaims never drop or dedup a
