@@ -25,6 +25,18 @@ pub mod promtext;
 pub mod report;
 pub mod soak;
 
+/// Everything this crate's unit tests have logged so far. Some provoke
+/// log lines on purpose (a drift warning, faults injected under the soak);
+/// the first call installs one capture buffer for the whole test binary —
+/// never cleared, so tests running in parallel cannot take it from each
+/// other — and `cargo test`'s stderr stays quiet.
+#[cfg(test)]
+pub(crate) fn captured_logs() -> String {
+    use std::sync::{Arc, Mutex, OnceLock};
+    static SINK: OnceLock<Arc<Mutex<Vec<u8>>>> = OnceLock::new();
+    gent_obs::sink_to_string(SINK.get_or_init(gent_obs::set_sink))
+}
+
 pub use format::markdown_table;
 pub use harness::{
     aggregate, run_benchmark, AggregateRow, CandidateMode, CaseOutcome, HarnessConfig, MethodSpec,

@@ -179,8 +179,11 @@ mod tests {
             let v = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
             assert!(matches!(v.get("e2e/case").unwrap().get("gate_ratio"), Some(Json::Null)));
 
-            // Rerun: judged against the 100 ms now in the file.
+            // Rerun: judged against the 100 ms now in the file — a −50 %
+            // drift, which is logged.
+            crate::captured_logs();
             let ratio = record_vs_baseline("e2e/case", 50.0).expect("baseline present");
+            assert!(crate::captured_logs().contains("\"drift_pct\":-50"), "drift warning");
             assert!((ratio - 2.0).abs() < 1e-9, "100ms baseline / 50ms run = 2×, got {ratio}");
             let v = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
             let stored = v.get("e2e/case").unwrap().get("gate_ratio").and_then(Json::as_f64);

@@ -789,6 +789,8 @@ mod tests {
     #[test]
     fn two_second_soak_with_faults_holds_the_contract() {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // A fault landing on an inline compaction is logged by the daemon.
+        crate::captured_logs();
         let cfg = SoakConfig {
             duration: Duration::from_secs(2),
             clients: 2,

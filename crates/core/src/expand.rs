@@ -40,20 +40,29 @@
 //!    (suffix, join-column set)) and probed by every start that joins
 //!    against it, instead of rebuilding the hash map per join.
 //!
+//! The **last** join of a path — `start ⋈ fold(rest)`, the only one whose
+//! output no other path shares — is never built: it stays a `JoinView`
+//! of `(left row, right row)` index pairs over its two inputs, which is
+//! all the fingerprint, the dedup check and matrix alignment need. The
+//! traversal turns the few expansions it selects into rows
+//! (`Expansion::to_table`); the rest never exist.
+//!
 //! Expanded tables that fold to the same relation (same columns up to
 //! order, same row multiset) are deduplicated — different paths routinely
 //! produce identical joins, and the traversal would score each copy.
 //! Everything is counted in [`ExpandStats`] and surfaced as
 //! `gent_expand_*` counters plus a per-candidate `expand_candidate` span.
 
+use crate::matrix::Rows;
 use gent_ops::{
-    inner_join_indexed, inner_join_indexed_capped, inner_join_indexed_hashed, join_cols,
-    left_key_hashes, JoinIndex,
+    inner_join_indexed, inner_join_indexed_capped, inner_join_pairs, join_layout, left_key_hashes,
+    JoinIndex, JoinLayout,
 };
 use gent_table::fxhash::FxHasher;
-use gent_table::{FxHashMap, FxHashSet, Table, Value};
+use gent_table::{FxHashMap, FxHashSet, Schema, Table, Value};
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 /// Weight-comparison slack, shared with the reference DFS's tie handling.
 const EPS: f64 = 1e-12;
@@ -140,9 +149,9 @@ fn join_weight(a: (usize, &Table), b: (usize, &Table), cache: &DistinctCache) ->
     (best > 0.0).then_some(best)
 }
 
-/// Does `t` contain every source key column (by name)?
-fn has_key(t: &Table, key_names: &[&str]) -> bool {
-    key_names.iter().all(|k| t.schema().contains(k))
+/// Does `schema` contain every source key column (by name)?
+fn has_key(schema: &Schema, key_names: &[&str]) -> bool {
+    key_names.iter().all(|k| schema.contains(k))
 }
 
 /// How many alternative join paths each keyless candidate may expand into.
@@ -296,17 +305,12 @@ fn best_paths(
 /// and only fingerprint collisions run the exact multiset comparison, so a
 /// non-duplicate can never be dropped.
 ///
-/// The permutation that sorts a column-name list.
-fn sorted_names_order(names: &[&str]) -> Vec<usize> {
+/// The column permutation that sorts `schema`'s column names.
+fn sorted_order(schema: &Schema) -> Vec<usize> {
+    let names: Vec<&str> = schema.columns().collect();
     let mut order: Vec<usize> = (0..names.len()).collect();
     order.sort_by_key(|&j| names[j]);
     order
-}
-
-/// The column permutation that sorts `t`'s column names.
-fn sorted_order(t: &Table) -> Vec<usize> {
-    let names: Vec<&str> = t.schema().columns().collect();
-    sorted_names_order(&names)
 }
 
 /// Seed for one column's (name, cell) pair hashes.
@@ -358,17 +362,17 @@ fn relation_fingerprint(t: &Table) -> u64 {
 /// Exact relation equality (callers pre-check equal sorted column names):
 /// row multisets compared through a counting map of borrowed cells — no
 /// clones, no sort.
-fn same_relation(a: &Table, b: &Table) -> bool {
+fn same_relation(a: &impl Rows, b: &impl Rows) -> bool {
     if a.n_rows() != b.n_rows() {
         return false;
     }
-    let (oa, ob) = (sorted_order(a), sorted_order(b));
+    let (oa, ob) = (sorted_order(a.schema()), sorted_order(b.schema()));
     let mut counts: FxHashMap<Vec<&Value>, isize> = FxHashMap::default();
-    for row in a.rows() {
-        *counts.entry(oa.iter().map(|&j| &row[j]).collect()).or_insert(0) += 1;
+    for i in 0..a.n_rows() {
+        *counts.entry(oa.iter().map(|&j| a.cell(i, j)).collect()).or_insert(0) += 1;
     }
-    for row in b.rows() {
-        match counts.get_mut(&ob.iter().map(|&j| &row[j]).collect::<Vec<_>>()) {
+    for i in 0..b.n_rows() {
+        match counts.get_mut(&ob.iter().map(|&j| b.cell(i, j)).collect::<Vec<_>>()) {
             Some(c) => *c -= 1,
             None => return false,
         }
@@ -384,9 +388,9 @@ fn same_relation(a: &Table, b: &Table) -> bool {
 /// runs *ahead* of the start table, so it loses the start's selectivity —
 /// `customer ⋈ lineitem` joined before the start that would have filtered
 /// it can hold hundreds of thousands of rows none of which survive the
-/// final join. A blow-up past this cap abandons the fold mid-join
-/// ([`gent_ops::inner_join_indexed_capped`], so a fitting join pays
-/// nothing extra and a veto pays at most the cap) and keeps the whole
+/// final join. A blow-up past this cap is vetoed from the join's index
+/// pairs, before any row is built
+/// ([`gent_ops::inner_join_indexed_capped`]), and keeps the whole
 /// path on the left-fold route ([`JoinEngine::join_path_folded`]) — the
 /// reference's own evaluation order, hence byte-identical output.
 const SUFFIX_FANOUT_CAP: usize = 8;
@@ -417,6 +421,114 @@ impl MemoEntry {
     }
 }
 
+/// One table's per-row source-key hashes ([`Rows::key_hash`]), shared
+/// between the engine's cache and every view over that table.
+type KeyHashes = Rc<[Option<u64>]>;
+
+/// A final join `left ⋈ right` that exists only as `(left row, right row)`
+/// index pairs: every cell is read from one of the two inputs (whose row
+/// storage it shares), so the expansion is fingerprinted, shape-checked,
+/// deduplicated and aligned without one joined row being built. The
+/// traversal selects a handful of the tables Expand joins (7 % on TP-TR
+/// Med); only those become rows, through [`Expansion::to_table`].
+pub(crate) struct JoinView {
+    name: String,
+    left: Table,
+    right: Table,
+    /// The join's schema — `left`'s columns, then `right`'s `rextra`.
+    layout: JoinLayout,
+    pairs: Vec<(u32, u32)>,
+    /// `right`'s per-row source-key hashes, when every key cell of a joined
+    /// row is a copy of its right row's (the start carries no key column):
+    /// row `i` then inherits `right_key_hashes[pairs[i].1]`.
+    right_key_hashes: Option<KeyHashes>,
+}
+
+impl Rows for JoinView {
+    fn schema(&self) -> &Schema {
+        &self.layout.schema
+    }
+    fn n_rows(&self) -> usize {
+        self.pairs.len()
+    }
+    #[inline]
+    fn cell(&self, i: usize, j: usize) -> &Value {
+        let (li, ri) = self.pairs[i];
+        match j.checked_sub(self.left.n_cols()) {
+            None => &self.left.rows()[li as usize][j],
+            Some(k) => &self.right.rows()[ri as usize][self.layout.rextra[k]],
+        }
+    }
+    #[inline]
+    fn key_hash(&self, i: usize, key_cols: &[usize]) -> Option<u64> {
+        match &self.right_key_hashes {
+            Some(hashes) => hashes[self.pairs[i].1 as usize],
+            None => crate::matrix::hash_key(key_cols.iter().map(|&k| self.cell(i, k))),
+        }
+    }
+}
+
+/// One expanded table, as Expand hands it to alignment.
+pub(crate) enum Expansion {
+    /// A table with rows: a key-carrying candidate passed through (sharing
+    /// the caller's row storage), or an oversize path's left fold.
+    Table(Table),
+    /// A final join held as index pairs.
+    View(Box<JoinView>),
+}
+
+impl Expansion {
+    /// The expansion as a table — byte-identical to joining its path with
+    /// [`gent_ops::inner_join`] left to right.
+    pub(crate) fn to_table(&self) -> Table {
+        match self {
+            Expansion::Table(t) => t.clone(),
+            Expansion::View(v) => {
+                materialised(v.pairs.len());
+                let mut table = v.layout.table(&v.left, &v.right, &v.pairs);
+                table.set_name(&v.name);
+                table
+            }
+        }
+    }
+
+    fn set_name(&mut self, name: String) {
+        match self {
+            Expansion::Table(t) => t.set_name(name),
+            Expansion::View(v) => v.name = name,
+        }
+    }
+}
+
+impl Rows for Expansion {
+    fn schema(&self) -> &Schema {
+        match self {
+            Expansion::Table(t) => t.schema(),
+            Expansion::View(v) => v.schema(),
+        }
+    }
+    fn n_rows(&self) -> usize {
+        match self {
+            Expansion::Table(t) => t.n_rows(),
+            Expansion::View(v) => v.n_rows(),
+        }
+    }
+    #[inline]
+    fn cell(&self, i: usize, j: usize) -> &Value {
+        match self {
+            Expansion::Table(t) => Rows::cell(t, i, j),
+            Expansion::View(v) => v.cell(i, j),
+        }
+    }
+    #[inline]
+    fn key_hash(&self, i: usize, key_cols: &[usize]) -> Option<u64> {
+        match self {
+            Expansion::Table(t) => Rows::key_hash(t, i, key_cols),
+            Expansion::View(v) => v.key_hash(i, key_cols),
+        }
+    }
+}
+
 /// The memoized right-fold join engine: sub-join results keyed on the
 /// table-index path suffix, with cached per-suffix [`JoinIndex`]es so a
 /// right table probed by many lefts hashes its join columns once.
@@ -439,19 +551,11 @@ struct JoinEngine<'t> {
     /// over that join's extra (non-common) right columns.
     right_sums: FxHashMap<(Vec<usize>, Vec<usize>), Vec<u64>>,
     /// Right suffix path → its table's per-row source-key hashes (`None`
-    /// inner value when that table lacks a source key column). When the
-    /// start carries *no* key column, a joined row's key cells are
-    /// verbatim copies of its right row's, so these hashes transfer to the
-    /// join output row-for-row — the matrix handoff
-    /// ([`AlignmentMatrix::build_hashed`](crate::matrix::AlignmentMatrix))
-    /// that saves re-hashing every expanded row during alignment.
-    right_key_hashes: FxHashMap<Vec<usize>, Option<Vec<Option<u64>>>>,
+    /// when that table lacks a source key column) — what a [`JoinView`]
+    /// whose start carries no key column hands to alignment in place of
+    /// re-hashing every joined row's key cells.
+    right_key_hashes: FxHashMap<Vec<usize>, Option<KeyHashes>>,
 }
-
-/// Per-row source-key hashes of one expanded table, handed from the join
-/// engine to matrix construction (`None` when the engine could not derive
-/// them — the table then hashes its own rows, exactly as before).
-pub(crate) type KeyHashes = Option<Vec<Option<u64>>>;
 
 impl<'t> JoinEngine<'t> {
     fn new(candidates: &'t [Table]) -> JoinEngine<'t> {
@@ -467,30 +571,30 @@ impl<'t> JoinEngine<'t> {
     }
 
     /// `candidates[start] ⋈ fold(path)`, folding the path right-to-left
-    /// through the memo, together with the join's relation fingerprint.
-    /// Each output row's term is the sum of its left row's and its right
-    /// row's precomputed terms ([`row_sum`] splits along the column
-    /// partition), so the fold costs one add per row instead of re-hashing
-    /// every output cell — result rows of a large join outlive every cache
-    /// level, and a separate fingerprint pass would re-walk them all.
-    /// Returns `None` when any join in the chain fails.
+    /// through the memo and stopping short of the last join's rows (a
+    /// [`JoinView`]), together with the join's relation fingerprint. Each
+    /// joined row's term is the sum of its left row's and its right row's
+    /// precomputed terms ([`row_sum`] splits along the column partition),
+    /// so the fold costs one add per pair and reads no cell. Returns
+    /// `None` when any join in the chain fails.
     fn join_path(
         &mut self,
         start: usize,
         path: &[usize],
         key_names: &[&str],
         stats: &mut ExpandStats,
-    ) -> Option<(Table, u64, KeyHashes)> {
+    ) -> Option<(Expansion, u64)> {
         let left = &self.candidates[start];
         if path.is_empty() {
-            return Some((left.clone(), relation_fingerprint(left), None));
+            return Some((Expansion::Table(left.clone()), relation_fingerprint(left)));
         }
         self.ensure_suffixes(path, stats);
         if matches!(self.memo.get(path), Some(MemoEntry::Oversize)) {
             return self.join_path_folded(start, path);
         }
         let right = self.memo.get(path).expect("just ensured").table(self.candidates)?;
-        let (lcols, rcols) = join_cols(left, right).ok()?;
+        let layout = join_layout(left, right).ok()?;
+        let (lcols, rcols) = (&layout.lcols, &layout.rcols);
         let lsums = self.left_sums.entry(start).or_insert_with(|| {
             let cols: Vec<usize> = (0..left.n_cols()).collect();
             table_row_sums(left, &cols)
@@ -498,15 +602,14 @@ impl<'t> JoinEngine<'t> {
         let lhashes = self
             .left_hashes
             .entry((start, lcols.clone()))
-            .or_insert_with(|| left_key_hashes(left, &lcols));
-        let rsums = self.right_sums.entry((path.to_vec(), rcols.clone())).or_insert_with(|| {
-            let rextra: Vec<usize> = (0..right.n_cols()).filter(|j| !rcols.contains(j)).collect();
-            table_row_sums(right, &rextra)
-        });
-        // Key-hash handoff: with no key column on the left, the output's
-        // key cells are copies of the right row's, so each emitted row
-        // inherits its right row's precomputed source-key hash.
-        let rkh = if key_names.iter().any(|k| left.schema().contains(k)) {
+            .or_insert_with(|| left_key_hashes(left, lcols));
+        let rsums = self
+            .right_sums
+            .entry((path.to_vec(), rcols.clone()))
+            .or_insert_with(|| table_row_sums(right, &layout.rextra));
+        // Key-hash handoff: with no key column on the left, a joined row's
+        // key cells are copies of its right row's, and so is their hash.
+        let right_key_hashes = if key_names.iter().any(|k| left.schema().contains(k)) {
             None
         } else {
             self.right_key_hashes
@@ -514,26 +617,21 @@ impl<'t> JoinEngine<'t> {
                 .or_insert_with(|| {
                     let ckey: Option<Vec<usize>> =
                         key_names.iter().map(|k| right.schema().column_index(k)).collect();
-                    ckey.map(|ckey| {
-                        right.rows().iter().map(|r| crate::matrix::key_hash(r, &ckey)).collect()
-                    })
+                    ckey.map(|ckey| (0..right.n_rows()).map(|i| right.key_hash(i, &ckey)).collect())
                 })
-                .as_deref()
+                .clone()
         };
         let index = self
             .indexes
             .entry((path.to_vec(), rcols.clone()))
-            .or_insert_with(|| JoinIndex::build(right, &rcols));
-        let mut fp = 0u64;
-        let mut out_hashes: Vec<Option<u64>> = Vec::new();
-        let joined = inner_join_indexed_hashed(left, right, index, lhashes, |li, ri, _row| {
-            fp = fp.wrapping_add(lsums[li].wrapping_add(rsums[ri]) | 1);
-            if let Some(rkh) = rkh {
-                out_hashes.push(rkh[ri]);
-            }
-        })
-        .ok()?;
-        Some((joined, fp, rkh.is_some().then_some(out_hashes)))
+            .or_insert_with(|| JoinIndex::build(right, rcols));
+        let pairs = inner_join_pairs(left, right, lcols, index, lhashes, usize::MAX)?;
+        let fp = pairs.iter().fold(0u64, |fp, &(li, ri)| {
+            fp.wrapping_add(lsums[li as usize].wrapping_add(rsums[ri as usize]) | 1)
+        });
+        let (name, left, right) = (String::new(), left.clone(), right.clone());
+        let view = JoinView { name, left, right, layout, pairs, right_key_hashes };
+        Some((Expansion::View(Box::new(view)), fp))
     }
 
     /// Left-fold fallback for paths whose suffix join would dwarf its
@@ -546,22 +644,13 @@ impl<'t> JoinEngine<'t> {
     /// (recomputed over the final output, linear in the rows actually
     /// produced) — cheap exactly when the suffix fold is not. The per-base
     /// [`JoinIndex`] cache still applies to every hop.
-    fn join_path_folded(
-        &mut self,
-        start: usize,
-        path: &[usize],
-    ) -> Option<(Table, u64, KeyHashes)> {
-        let mut acc = Self::indexed_join(
-            &mut self.indexes,
-            &path[..1],
-            &self.candidates[start],
-            &self.candidates[path[0]],
-        )?;
-        for (i, &p) in path.iter().enumerate().skip(1) {
+    fn join_path_folded(&mut self, start: usize, path: &[usize]) -> Option<(Expansion, u64)> {
+        let mut acc = self.candidates[start].clone();
+        for (i, &p) in path.iter().enumerate() {
             acc = Self::indexed_join(&mut self.indexes, &path[i..=i], &acc, &self.candidates[p])?;
         }
         let fp = relation_fingerprint(&acc);
-        Some((acc, fp, None))
+        Some((Expansion::Table(acc), fp))
     }
 
     /// Materialise `memo[path[i..]]` for every suffix, shortest first, so
@@ -585,7 +674,7 @@ impl<'t> JoinEngine<'t> {
                     .get(&suffix[1..])
                     .expect("built shortest-first")
                     .table(self.candidates);
-                match right.and_then(|r| join_cols(left, r).ok().map(|(_, rcols)| (r, rcols))) {
+                match right.and_then(|r| join_layout(left, r).ok().map(|l| (r, l.rcols))) {
                     None => MemoEntry::Failed,
                     Some((r, rcols)) => {
                         let index = self
@@ -596,7 +685,10 @@ impl<'t> JoinEngine<'t> {
                         match inner_join_indexed_capped(left, r, index, cap) {
                             Err(_) => MemoEntry::Failed,
                             Ok(None) => MemoEntry::Oversize,
-                            Ok(Some(t)) => MemoEntry::Joined(t),
+                            Ok(Some(t)) => {
+                                materialised(t.n_rows());
+                                MemoEntry::Joined(t)
+                            }
                         }
                     }
                 }
@@ -613,12 +705,19 @@ impl<'t> JoinEngine<'t> {
         left: &Table,
         right: &Table,
     ) -> Option<Table> {
-        let rcols = join_cols(left, right).ok()?.1;
+        let rcols = join_layout(left, right).ok()?.rcols;
         let index = indexes
             .entry((suffix.to_vec(), rcols.clone()))
             .or_insert_with(|| JoinIndex::build(right, &rcols));
-        inner_join_indexed(left, right, index).ok()
+        let joined = inner_join_indexed(left, right, index).ok()?;
+        materialised(joined.n_rows());
+        Some(joined)
     }
+}
+
+/// Count `rows` joined rows as built (`gent_expand_rows_materialised_total`).
+fn materialised(rows: usize) {
+    crate::telemetry::instruments().expand_rows_materialised.add(rows as u64);
 }
 
 /// Algorithm 5 — replace each keyless candidate by its join with a path of
@@ -639,69 +738,27 @@ pub fn expand_with_stats(
     key_names: &[&str],
     max_depth: usize,
 ) -> (Vec<Table>, ExpandStats) {
-    let mut out = Vec::with_capacity(candidates.len());
-    let (_, stats) = expand_streamed(candidates, key_names, max_depth, |t, _| out.push(t));
-    (out, stats)
+    let (expansions, stats) = expand_views(candidates, key_names, max_depth);
+    (expansions.iter().map(Expansion::to_table).collect(), stats)
 }
 
-/// How one expanded table was produced — enough to produce it again.
-enum Recipe {
-    /// A key-carrying candidate, passed through.
-    Candidate(usize),
-    /// `candidates[start] ⋈ fold(path)`, under this output name.
-    Joined { start: usize, path: Vec<usize>, name: String },
-}
-
-/// What [`expand_streamed`] leaves behind: the join engine with its warm
-/// memo and the recipe of every table it emitted, so that the few tables
-/// the traversal selects can be joined again after the many it did not
-/// select have been dropped.
-pub(crate) struct Expansions<'t> {
-    engine: JoinEngine<'t>,
-    recipes: Vec<Recipe>,
-}
-
-impl Expansions<'_> {
-    /// The `i`-th emitted table again, byte-identical to its first
-    /// emission (one final join against the memoized suffix; counters are
-    /// not touched).
-    pub(crate) fn materialise(&mut self, i: usize, key_names: &[&str]) -> Table {
-        match &self.recipes[i] {
-            Recipe::Candidate(c) => self.engine.candidates[*c].clone(),
-            Recipe::Joined { start, path, name } => {
-                let (mut joined, _, _) = self
-                    .engine
-                    .join_path(*start, path, key_names, &mut ExpandStats::default())
-                    .expect("this path joined when it was first emitted");
-                joined.set_name(name);
-                joined
-            }
-        }
-    }
-}
-
-/// Algorithm 5, one table at a time: every expanded table (in [`expand`]'s
-/// order) is handed to `sink` together with its per-row source-key hashes
-/// where the join engine could derive them (see [`KeyHashes`]; the
-/// traversal feeds them to
-/// [`AlignmentMatrix::build_hashed`](crate::matrix::AlignmentMatrix) so
-/// alignment skips re-hashing the rows Expand just emitted). Expand keeps
-/// no emitted table: the traversal uses a fraction of what Expand joins
-/// (7 % on TP-TR Med), and holding every expansion until selection was the
-/// pipeline's memory peak. The rare exact duplicate check joins the earlier
-/// table again.
-pub(crate) fn expand_streamed<'t>(
-    candidates: &'t [Table],
+/// Algorithm 5 without the rows: every expanded table, in [`expand`]'s
+/// order, with each final join left as a [`JoinView`]. Holding them all is
+/// cheap — a view is 8 bytes per joined row beside input tables that exist
+/// anyway — where holding the joined rows until selection was the
+/// pipeline's memory peak.
+pub(crate) fn expand_views(
+    candidates: &[Table],
     key_names: &[&str],
     max_depth: usize,
-    mut sink: impl FnMut(Table, KeyHashes),
-) -> (Expansions<'t>, ExpandStats) {
+) -> (Vec<Expansion>, ExpandStats) {
     let ins = crate::telemetry::instruments();
     let mut stats = ExpandStats::default();
     let n = candidates.len();
-    let mut done =
-        Expansions { engine: JoinEngine::new(candidates), recipes: Vec::with_capacity(n) };
-    let ends: FxHashSet<usize> = (0..n).filter(|&i| has_key(&candidates[i], key_names)).collect();
+    let mut engine = JoinEngine::new(candidates);
+    let mut out: Vec<Expansion> = Vec::with_capacity(n);
+    let ends: FxHashSet<usize> =
+        (0..n).filter(|&i| has_key(candidates[i].schema(), key_names)).collect();
     // Precompute pairwise weights over cached per-column distinct sets
     // (nothing to join when every candidate carries the key).
     let mut weights: Vec<Vec<Option<f64>>> = vec![vec![None; n]; n];
@@ -716,48 +773,40 @@ pub(crate) fn expand_streamed<'t>(
         }
     }
     // Dedup state: shape (sorted column names, row count) → kept
-    // expansions of that shape, each with its emission index and the
+    // expansions of that shape, each with its index in `out` and the
     // fingerprint folded during its join. Only fingerprint matches run
     // the exact multiset comparison.
     type ShapeBucket = Vec<(usize, u64)>;
     let mut seen: FxHashMap<(Vec<String>, usize), ShapeBucket> = FxHashMap::default();
     for (i, candidate) in candidates.iter().enumerate() {
         if ends.contains(&i) {
-            done.recipes.push(Recipe::Candidate(i));
-            sink(candidate.clone(), None);
+            out.push(Expansion::Table(candidate.clone()));
             continue;
         }
         let _span = gent_obs::span_timed("expand_candidate", ins.stage_expand_candidate.clone());
         let mut produced = 0usize;
         let paths = best_paths(i, &weights, &ends, max_depth, &mut stats.paths_considered);
         for (k, path) in paths.into_iter().enumerate() {
-            let Some((mut joined, fp, key_hashes)) =
-                done.engine.join_path(i, &path, key_names, &mut stats)
-            else {
+            let Some((mut joined, fp)) = engine.join_path(i, &path, key_names, &mut stats) else {
                 continue;
             };
-            if joined.is_empty() || !has_key(&joined, key_names) {
+            if joined.n_rows() == 0 || !has_key(joined.schema(), key_names) {
                 continue;
             }
             let mut shape: Vec<String> = joined.schema().columns().map(str::to_string).collect();
             shape.sort_unstable();
             let bucket = seen.entry((shape, joined.n_rows())).or_default();
-            let dup = bucket.iter().any(|&(x, xfp)| {
-                xfp == fp && same_relation(&done.materialise(x, key_names), &joined)
-            });
-            if dup {
+            if bucket.iter().any(|&(x, xfp)| xfp == fp && same_relation(&out[x], &joined)) {
                 stats.dedup_dropped += 1;
                 continue;
             }
-            bucket.push((done.recipes.len(), fp));
+            bucket.push((out.len(), fp));
             // `k` enumerates all of this start's ranked paths — including
             // failed and deduplicated ones — so the surviving tables keep
             // the exact names the reference implementation gives them.
             let suffix = if k == 0 { String::new() } else { format!("#{}", k + 1) };
-            let name = format!("{}+expanded{suffix}", candidates[i].name());
-            joined.set_name(&name);
-            done.recipes.push(Recipe::Joined { start: i, path, name });
-            sink(joined, key_hashes);
+            joined.set_name(format!("{}+expanded{suffix}", candidates[i].name()));
+            out.push(joined);
             produced += 1;
         }
         if produced == 0 {
@@ -768,7 +817,7 @@ pub(crate) fn expand_streamed<'t>(
     ins.expand_memo_hits.add(stats.memo_hits);
     ins.expand_candidates_dropped.add(stats.candidates_dropped);
     ins.expand_dedup.add(stats.dedup_dropped);
-    (done, stats)
+    (out, stats)
 }
 
 pub mod reference {
@@ -864,7 +913,7 @@ pub mod reference {
     pub fn expand(candidates: &[Table], key_names: &[&str], max_depth: usize) -> Vec<Table> {
         let n = candidates.len();
         let ends: FxHashSet<usize> =
-            (0..n).filter(|&i| has_key(&candidates[i], key_names)).collect();
+            (0..n).filter(|&i| has_key(candidates[i].schema(), key_names)).collect();
         if ends.len() == n {
             return candidates.to_vec();
         }
@@ -896,7 +945,7 @@ pub mod reference {
                         }
                     }
                 }
-                if ok && !joined.is_empty() && has_key(&joined, key_names) {
+                if ok && !joined.is_empty() && has_key(joined.schema(), key_names) {
                     let suffix = if k == 0 { String::new() } else { format!("#{}", k + 1) };
                     joined.set_name(format!("{}+expanded{suffix}", candidates[i].name()));
                     out.push(joined);
@@ -906,6 +955,10 @@ pub mod reference {
         out
     }
 }
+
+#[cfg(test)]
+#[path = "pair_view_prop.rs"]
+mod pair_view_prop;
 
 #[cfg(test)]
 mod tests {
@@ -960,7 +1013,7 @@ mod tests {
         tables
             .iter()
             .map(|t| {
-                let order = sorted_order(t);
+                let order = sorted_order(t.schema());
                 let names: Vec<&str> = t.schema().columns().collect();
                 let cols: Vec<String> = order.iter().map(|&j| names[j].to_string()).collect();
                 let mut rows: Vec<Vec<V>> = t
@@ -1107,44 +1160,39 @@ mod tests {
 
     #[test]
     fn fused_fingerprint_matches_recomputation() {
-        // The fingerprint folded during the join (left-sum + right-sum per
-        // output row) must equal a from-scratch `relation_fingerprint` of
-        // the materialized output — on single- and multi-hop paths.
+        // The fingerprint folded over the join's index pairs (left-sum +
+        // right-sum per pair) must equal a from-scratch
+        // `relation_fingerprint` of the view's rows — on single- and
+        // multi-hop paths.
         let cands = candidates();
         let mut stats = ExpandStats::default();
         let mut engine = JoinEngine::new(&cands);
         for (start, path) in [(1usize, vec![0usize]), (2, vec![0]), (1, vec![2, 0])] {
-            let (joined, fp, _) = engine
+            let (joined, fp) = engine
                 .join_path(start, &path, &["ID"], &mut stats)
                 .unwrap_or_else(|| panic!("join {start}+{path:?} must succeed"));
-            assert_eq!(fp, relation_fingerprint(&joined), "start {start}, path {path:?}");
+            assert!(matches!(joined, Expansion::View(_)), "no rows before selection");
+            assert_eq!(fp, relation_fingerprint(&joined.to_table()), "{start} + {path:?}");
         }
     }
 
     #[test]
     fn key_hash_handoff_matches_fresh_hashes() {
-        // Keyless starts joined through A hand per-row source-key hashes
-        // to matrix build; each must equal hashing the output row's key
-        // cells from scratch.
+        // Keyless starts joined through A answer `Rows::key_hash` from
+        // their right row's precomputed source-key hash; each must equal
+        // hashing the joined row's key cells from scratch.
         let cands = candidates();
-        let (mut expanded, mut hashes) = (Vec::new(), Vec::new());
-        let (mut expansions, _) = expand_streamed(&cands, &["ID"], 3, |t, h| {
-            expanded.push(t);
-            hashes.push(h);
-        });
-        // Joining an emitted table again reproduces it exactly.
-        for (i, t) in expanded.iter().enumerate() {
-            let again = expansions.materialise(i, &["ID"]);
-            assert_eq!(&again, t, "expansion {i}");
-        }
+        let (expansions, _) = expand_views(&cands, &["ID"], 3);
         let mut handed = 0;
-        for (t, h) in expanded.iter().zip(&hashes) {
-            let Some(h) = h else { continue };
-            handed += 1;
+        for e in &expansions {
+            let t = e.to_table();
             let ckey = vec![t.schema().column_index("ID").expect("expansions carry the key")];
-            assert_eq!(h.len(), t.n_rows(), "one hash per row of {}", t.name());
-            for (row, &hash) in t.rows().iter().zip(h) {
-                assert_eq!(hash, crate::matrix::key_hash(row, &ckey), "row in {}", t.name());
+            assert_eq!(e.n_rows(), t.n_rows(), "one pair per row of {}", t.name());
+            for i in 0..t.n_rows() {
+                assert_eq!(e.key_hash(i, &ckey), t.key_hash(i, &ckey), "row {i} of {}", t.name());
+            }
+            if let Expansion::View(v) = e {
+                handed += usize::from(v.right_key_hashes.is_some());
             }
         }
         assert!(handed >= 1, "at least one expansion must hand hashes over");

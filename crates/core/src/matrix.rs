@@ -89,7 +89,7 @@
 //! verbatim in [`mod@reference`] as the executable specification: property
 //! tests assert the packed arena is behaviourally identical to it.
 
-use gent_table::{FxHashMap, Table};
+use gent_table::{FxHashMap, Schema, Table, Value};
 
 /// Cells per `u64` word (2 bits per cell).
 const LANES: usize = 32;
@@ -144,17 +144,48 @@ fn packed_score(tuple: &[u64], weight: &[u64]) -> i64 {
 /// align tuples — the same rule as [`Table::key_from_row`]). `Value`'s
 /// `Hash` is consistent with its cross-type equality, so equal keys always
 /// hash equal; unequal keys sharing a hash are filtered by the probe.
-pub(crate) fn key_hash(row: &[gent_table::Value], key_cols: &[usize]) -> Option<u64> {
+pub(crate) fn hash_key<'v>(cells: impl Iterator<Item = &'v Value>) -> Option<u64> {
     use std::hash::{Hash, Hasher};
     let mut h = gent_table::fxhash::FxHasher::default();
-    for &k in key_cols {
-        let v = &row[k];
+    for v in cells {
         if v.is_null_like() {
             return None;
         }
         v.hash(&mut h);
     }
     Some(h.finish())
+}
+
+/// What alignment reads of a candidate: a schema and cells by position.
+/// [`Table`] has rows; an expansion Expand has only joined as row-index
+/// pairs (`expand::JoinView`) answers from its two input tables, so it is
+/// aligned without one joined row ever existing.
+pub(crate) trait Rows {
+    /// The candidate's schema.
+    fn schema(&self) -> &Schema;
+    /// Number of rows.
+    fn n_rows(&self) -> usize;
+    /// The cell at row `i`, column `j`.
+    fn cell(&self, i: usize, j: usize) -> &Value;
+    /// [`hash_key`] of row `i`'s `key_cols` cells — overridden where it is
+    /// known without hashing (a joined row's key cells are copies of one
+    /// input row's).
+    fn key_hash(&self, i: usize, key_cols: &[usize]) -> Option<u64> {
+        hash_key(key_cols.iter().map(|&k| self.cell(i, k)))
+    }
+}
+
+impl Rows for Table {
+    fn schema(&self) -> &Schema {
+        Table::schema(self)
+    }
+    fn n_rows(&self) -> usize {
+        Table::n_rows(self)
+    }
+    #[inline]
+    fn cell(&self, i: usize, j: usize) -> &Value {
+        &self.rows()[i][j]
+    }
 }
 
 /// Three-valued alignment matrix of one (possibly partially integrated)
@@ -205,22 +236,16 @@ impl AlignmentMatrix {
         three_valued: bool,
         max_aligned_per_key: usize,
     ) -> Option<AlignmentMatrix> {
-        Self::build_hashed(source, candidate, three_valued, max_aligned_per_key, None)
+        Self::build_from(source, candidate, three_valued, max_aligned_per_key)
     }
 
-    /// [`AlignmentMatrix::build`] with the candidate's per-row source-key
-    /// hashes already computed — `key_hashes[i]` must equal
-    /// `key_hash(candidate.rows()[i], ckey)` for the candidate's key
-    /// columns. Expand's join engine knows these for free (a joined row's
-    /// key cells are verbatim copies of one input row's), and skipping the
-    /// re-hash of every expanded row is a measurable slice of matrix
-    /// construction on large expansions.
-    pub(crate) fn build_hashed(
+    /// [`AlignmentMatrix::build`] over anything with [`Rows`] — a table, or
+    /// an expansion that exists only as join pairs.
+    pub(crate) fn build_from<R: Rows>(
         source: &Table,
-        candidate: &Table,
+        candidate: &R,
         three_valued: bool,
         max_aligned_per_key: usize,
-        key_hashes: Option<&[Option<u64>]>,
     ) -> Option<AlignmentMatrix> {
         let max_aligned_per_key = max_aligned_per_key.max(1);
         let skey = source.schema().key();
@@ -232,34 +257,41 @@ impl AlignmentMatrix {
         let ckey: Option<Vec<usize>> = skey.iter().map(|&k| col_map[k]).collect();
         let ckey = ckey?;
 
-        // Index candidate rows by key-value *hash* — cloning key tuples
-        // into `KeyValue`s costs an allocation per candidate row, which
-        // dominated construction on large expanded candidates. Probes
-        // verify the key cells against the row itself, so hash collisions
-        // can never mis-align tuples.
-        let mut cindex: FxHashMap<u64, Vec<usize>> =
-            FxHashMap::with_capacity_and_hasher(candidate.n_rows(), Default::default());
-        match key_hashes {
-            Some(hashes) => {
-                debug_assert_eq!(hashes.len(), candidate.n_rows(), "hashes for another table");
-                debug_assert!(
-                    hashes.iter().zip(candidate.rows()).all(|(&h, row)| h == key_hash(row, &ckey)),
-                    "precomputed key hashes disagree with key_hash"
-                );
-                for (i, &h) in hashes.iter().enumerate() {
-                    if let Some(h) = h {
-                        cindex.entry(h).or_default().push(i);
-                    }
-                }
-            }
-            None => {
-                for (i, row) in candidate.rows().iter().enumerate() {
-                    if let Some(h) = key_hash(row, &ckey) {
-                        cindex.entry(h).or_default().push(i);
-                    }
+        // Index the *source* rows by key hash (`slot` holds one row with a
+        // hash, `next` chains the others sharing it — duplicate keys or
+        // collisions) and probe it once per candidate row,
+        // keeping `(source row, candidate row)` for the rows whose key
+        // cells really are equal. A candidate holds far more rows than the
+        // source has keys, and nearly all of them align to nothing: those
+        // cost one failed probe here, where a candidate-side index paid an
+        // insert for each. Sorted, the hits list each source row's aligned
+        // candidate rows ascending — the order a candidate-side bucket
+        // yields them in — so every row's tuples reach the pruner in the
+        // same order either way.
+        let n_rows = source.n_rows();
+        let mut slot: FxHashMap<u64, u32> =
+            FxHashMap::with_capacity_and_hasher(n_rows, Default::default());
+        let mut next = vec![u32::MAX; n_rows];
+        for (si, chained) in next.iter_mut().enumerate() {
+            if let Some(h) = source.key_hash(si, skey) {
+                if let Some(earlier) = slot.insert(h, si as u32) {
+                    *chained = earlier;
                 }
             }
         }
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        for ci in 0..candidate.n_rows() {
+            let Some(h) = candidate.key_hash(ci, &ckey) else { continue };
+            let mut si = slot.get(&h).copied().unwrap_or(u32::MAX);
+            while si != u32::MAX {
+                let srow = &source.rows()[si as usize];
+                if skey.iter().zip(&ckey).all(|(&sk, &ck)| srow[sk] == *candidate.cell(ci, ck)) {
+                    hits.push((si, ci as u32));
+                }
+                si = next[si as usize];
+            }
+        }
+        hits.sort_unstable();
 
         let n_cols = source.n_cols();
         let non_key_cols = source.schema().non_key_indices();
@@ -305,47 +337,42 @@ impl AlignmentMatrix {
         let mut tmpl = vec![0u64; wpt];
         let mut scratch: Vec<u64> = Vec::new();
         let mut prune = PruneScratch::default();
-        for si in 0..source.n_rows() {
+        let mut hits = hits.as_slice();
+        for (si, srow) in source.rows().iter().enumerate() {
             scratch.clear();
-            let srow = &source.rows()[si];
-            if let Some(h) = key_hash(srow, skey) {
-                if let Some(crows) = cindex.get(&h) {
-                    // This row's template: flip missing-column lanes from
-                    // the `0` code to `1` where the source cell is itself
-                    // null-like (a correctly-absent value).
-                    tmpl.copy_from_slice(&base);
-                    for (&j, &m) in none_cols.iter().zip(&null_mask) {
-                        if srow[j].is_null_like() {
-                            tmpl[j / LANES] ^= m;
-                        }
+            let aligned = hits.iter().take_while(|h| h.0 as usize == si).count();
+            let (crows, rest) = hits.split_at(aligned);
+            hits = rest;
+            if !crows.is_empty() {
+                // This row's template: flip missing-column lanes from the
+                // `0` code to `1` where the source cell is itself
+                // null-like (a correctly-absent value).
+                tmpl.copy_from_slice(&base);
+                for (&j, &m) in none_cols.iter().zip(&null_mask) {
+                    if srow[j].is_null_like() {
+                        tmpl[j / LANES] ^= m;
                     }
-                    for &ci in crows {
-                        // Hash buckets may mix distinct keys; keep only the
-                        // rows whose key cells actually equal the source's.
-                        let crow = &candidate.rows()[ci];
-                        if !skey.iter().zip(&ckey).all(|(&sk, &ck)| srow[sk] == crow[ck]) {
-                            continue;
-                        }
-                        // Pack one tuple, MSB-first, 32 cells per word:
-                        // the template plus this row's mapped lanes.
-                        let at = scratch.len();
-                        scratch.extend_from_slice(&tmpl);
-                        for &(j, cj, word, shift) in &some_cols {
-                            let sv = &srow[j];
-                            let tv = &crow[cj];
-                            // A correctly-preserved null counts like a
-                            // shared value (Example 6's EIS convention),
-                            // hence the same arm as value equality.
-                            let enc = if (sv.is_null_like() && tv.is_null_like()) || sv == tv {
-                                CODE_ONE
-                            } else if tv.is_null_like() {
-                                CODE_ZERO
-                            } else {
-                                mismatch
-                            };
-                            scratch[at + word] |= enc << shift;
-                        }
-                    }
+                }
+            }
+            for &(_, ci) in crows {
+                // Pack one tuple, MSB-first, 32 cells per word: the
+                // template plus this row's mapped lanes.
+                let at = scratch.len();
+                scratch.extend_from_slice(&tmpl);
+                for &(j, cj, word, shift) in &some_cols {
+                    let sv = &srow[j];
+                    let tv = candidate.cell(ci as usize, cj);
+                    // A correctly-preserved null counts like a shared
+                    // value (Example 6's EIS convention), hence the same
+                    // arm as value equality.
+                    let enc = if (sv.is_null_like() && tv.is_null_like()) || sv == tv {
+                        CODE_ONE
+                    } else if tv.is_null_like() {
+                        CODE_ZERO
+                    } else {
+                        mismatch
+                    };
+                    scratch[at + word] |= enc << shift;
                 }
             }
             out.push_row_pruned(&scratch, max_aligned_per_key, &mut prune);

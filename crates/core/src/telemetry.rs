@@ -17,7 +17,7 @@ pub(crate) struct Instruments {
     /// `…{stage="set_similarity"}` — the Set Similarity sub-stage alone.
     pub stage_set_similarity: Arc<Histogram>,
     /// `…{stage="expand"}` — Algorithm 5 join-path search and joins, with
-    /// the matrix alignment of each table as it is emitted.
+    /// the matrix alignment of every expansion.
     pub stage_expand: Arc<Histogram>,
     /// `…{stage="expand_candidate"}` — one keyless candidate's path search
     /// plus join folding inside Expand.
@@ -56,6 +56,13 @@ pub(crate) struct Instruments {
     /// `gent_expand_dedup_total` — expanded tables dropped as duplicates of
     /// an already-produced relation.
     pub expand_dedup: Arc<Counter>,
+    /// `gent_expand_pairs_aligned_total` — joined rows handed to matrix
+    /// alignment as (left row, right row) index pairs, never built.
+    pub expand_pairs_aligned: Arc<Counter>,
+    /// `gent_expand_rows_materialised_total` — joined rows Expand and the
+    /// traversal did build: suffix-memo folds, oversize left folds, and the
+    /// expansions the rounds selected.
+    pub expand_rows_materialised: Arc<Counter>,
 }
 
 /// The process-wide instrument set (registered on first use).
@@ -131,6 +138,16 @@ pub(crate) fn instruments() -> &'static Instruments {
             expand_dedup: reg.counter(
                 "gent_expand_dedup_total",
                 "Expanded tables dropped as duplicates of an existing relation",
+                &[],
+            ),
+            expand_pairs_aligned: reg.counter(
+                "gent_expand_pairs_aligned_total",
+                "Joined rows aligned as row-index pairs without being built",
+                &[],
+            ),
+            expand_rows_materialised: reg.counter(
+                "gent_expand_rows_materialised_total",
+                "Joined rows built: suffix-memo folds, oversize folds, selected expansions",
                 &[],
             ),
         }

@@ -24,8 +24,8 @@
 //! to a full rescan (see `crates/core/src/round.rs` for the argument).
 
 use crate::config::GenTConfig;
-use crate::expand::{expand_streamed, ExpandStats};
-use crate::matrix::AlignmentMatrix;
+use crate::expand::{expand_views, ExpandStats, Expansion};
+use crate::matrix::{AlignmentMatrix, Rows};
 use crate::round::{RoundScorer, RoundStats};
 use gent_table::Table;
 
@@ -34,9 +34,9 @@ use gent_table::Table;
 #[derive(Debug, Clone)]
 pub struct TraversalOutcome {
     /// Originating tables, best-first, in their expanded form. Expansions
-    /// are scored as Expand emits them and dropped; these few are joined
-    /// again after selection (key-carrying candidates share the caller's
-    /// row storage).
+    /// are scored as index pairs over their inputs; only these few are ever
+    /// built as rows (key-carrying candidates share the caller's row
+    /// storage).
     pub originating: Vec<Table>,
     /// For each entry of `originating`, its index into the traversal's
     /// *internal* scored list — the candidates after Expand (which joins
@@ -67,37 +67,32 @@ pub fn matrix_traversal(
     cfg: &GenTConfig,
 ) -> TraversalOutcome {
     let key_names: Vec<&str> = source.schema().key_names();
-    // Lines 3–4: Expand() — join tables without the source key — fused
-    // with MatrixInitialization(): each expanded table is aligned the
-    // moment Expand emits it and then dropped, keeping only its matrix.
-    // The traversal selects a handful of the tables Expand joins, so the
-    // selected ones are joined again at the end instead of holding every
-    // expansion until then. Joined tables arrive with per-row source-key
-    // hashes where the join engine could derive them, so alignment skips
-    // re-hashing those rows.
-    let mut tables: Vec<usize> = Vec::new(); // emission index per scored table
+    // Lines 3–4: Expand() — join tables without the source key — and
+    // MatrixInitialization(). Expand stops short of the rows of each final
+    // join (`expand::JoinView`: index pairs over its two inputs), the
+    // matrix is built straight off the pairs, and only the handful of
+    // expansions the rounds select are turned into rows at the end.
+    let mut tables: Vec<usize> = Vec::new(); // expansion index per scored table
     let mut matrices: Vec<AlignmentMatrix> = Vec::new();
-    let (mut expansions, expand_stats) = {
+    let (expansions, expand_stats) = {
         let ins = crate::telemetry::instruments();
         let _span = gent_obs::span_timed("expand", ins.stage_expand.clone());
-        let mut emitted = 0usize;
-        expand_streamed(candidates, &key_names, cfg.expand_max_depth, |t, hashes| {
-            if let Some(m) = AlignmentMatrix::build_hashed(
-                source,
-                &t,
-                cfg.three_valued,
-                cfg.max_aligned_per_key,
-                hashes.as_deref(),
-            ) {
-                tables.push(emitted);
+        let (expansions, stats) = expand_views(candidates, &key_names, cfg.expand_max_depth);
+        for (i, e) in expansions.iter().enumerate() {
+            if let Expansion::View(v) = e {
+                ins.expand_pairs_aligned.add(v.n_rows() as u64);
+            }
+            let m =
+                AlignmentMatrix::build_from(source, e, cfg.three_valued, cfg.max_aligned_per_key);
+            if let Some(m) = m {
+                tables.push(i);
                 matrices.push(m);
             }
-            emitted += 1;
-        })
+        }
+        (expansions, stats)
     };
-    let mut originating = |chosen: &[usize]| {
-        chosen.iter().map(|&i| expansions.materialise(tables[i], &key_names)).collect()
-    };
+    let originating =
+        |chosen: &[usize]| chosen.iter().map(|&i| expansions[tables[i]].to_table()).collect();
     if tables.is_empty() {
         return TraversalOutcome {
             originating: Vec::new(),

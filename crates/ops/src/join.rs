@@ -17,14 +17,42 @@ use crate::error::OpError;
 use crate::unary::group_by_columns;
 use gent_table::{FxHashMap, Schema, Table, Value};
 
-/// The column layout of a join result: the output schema, the common column
-/// indices in the left table, the common column indices in the right table,
-/// and the right table's extra (non-common) column indices.
-type JoinLayout = (Schema, Vec<usize>, Vec<usize>, Vec<usize>);
+/// The column layout of a natural join `left ⋈ right`: all of `left`'s
+/// columns followed by `right`'s non-common columns. Callers that cache
+/// per-side join state ([`left_key_hashes`], [`JoinIndex`]) key it on
+/// `lcols` / `rcols`.
+#[derive(Debug, Clone)]
+pub struct JoinLayout {
+    /// The output schema.
+    pub schema: Schema,
+    /// The common columns' indices in the left table, in the left schema's
+    /// order — the order every join here keys on.
+    pub lcols: Vec<usize>,
+    /// The same columns' indices in the right table: the grouping a
+    /// [`JoinIndex`] must be built over to serve this join.
+    pub rcols: Vec<usize>,
+    /// The right table's extra (non-common) column indices, in output order.
+    pub rextra: Vec<usize>,
+}
 
-/// The column layout of a join result: all of `left`'s columns followed by
-/// `right`'s non-common columns.
-fn join_layout(left: &Table, right: &Table) -> Result<JoinLayout, OpError> {
+impl JoinLayout {
+    /// The rows `pairs` (from [`inner_join_pairs`]) stand for, as the table
+    /// [`inner_join`] returns.
+    pub fn table(&self, left: &Table, right: &Table, pairs: &[(u32, u32)]) -> Table {
+        let rows = pairs
+            .iter()
+            .map(|&(li, ri)| {
+                joined_row(&left.rows()[li as usize], &right.rows()[ri as usize], &self.rextra)
+            })
+            .collect();
+        Table::from_rows(format!("{}⋈{}", left.name(), right.name()), self.schema.clone(), rows)
+            .expect("layout fixed")
+    }
+}
+
+/// The [`JoinLayout`] of `left ⋈ right`; an error when the tables share no
+/// column.
+pub fn join_layout(left: &Table, right: &Table) -> Result<JoinLayout, OpError> {
     let common = left.schema().common_columns(right.schema());
     if common.is_empty() {
         return Err(OpError::NoCommonColumns {
@@ -42,7 +70,7 @@ fn join_layout(left: &Table, right: &Table) -> Result<JoinLayout, OpError> {
         names.push(right.schema().column_name(j).expect("in range").to_string());
     }
     let schema = Schema::new(names.iter().map(|s| s.as_str()))?;
-    Ok((schema, lcols, rcols, rextra))
+    Ok(JoinLayout { schema, lcols, rcols, rextra })
 }
 
 /// Build one joined row from a left row and a right row.
@@ -82,26 +110,11 @@ fn dangling_right(
     row
 }
 
-/// The common-column indices of the **right** table in a natural join
-/// `left ⋈ right`, in the order [`inner_join`] keys on (the left schema's
-/// common-column order). This is the grouping a [`JoinIndex`] must be built
-/// over to serve that join — callers that cache indexes key them on it.
-pub fn join_rcols(left: &Table, right: &Table) -> Result<Vec<usize>, OpError> {
-    join_layout(left, right).map(|(_, _, rcols, _)| rcols)
-}
-
-/// Both sides' common-column indices for `left ⋈ right` — `(lcols, rcols)`,
-/// in the left schema's common-column order. Callers that cache per-side
-/// join state ([`left_key_hashes`], [`JoinIndex`]) key it on these.
-pub fn join_cols(left: &Table, right: &Table) -> Result<(Vec<usize>, Vec<usize>), OpError> {
-    join_layout(left, right).map(|(_, lcols, rcols, _)| (lcols, rcols))
-}
-
 /// The per-row join-key hashes of a join's **left** side: `hashes[i]` is
 /// `Some(hash)` of row `i`'s `lcols` cells, or `None` when the key holds a
 /// plain null (null keys never match). The hash function is the one
-/// [`JoinIndex`] probes with, so [`inner_join_indexed_with`] accepts the
-/// result via `left_hashes` — a left table joined against many right
+/// [`JoinIndex`] probes with, so [`inner_join_pairs`] accepts the result — a
+/// left table joined against many right
 /// tables over the same column set (Expand's path engine) hashes its rows
 /// once instead of once per join.
 pub fn left_key_hashes(left: &Table, lcols: &[usize]) -> Vec<Option<u64>> {
@@ -156,8 +169,8 @@ fn hash_join_key(key: &[&Value]) -> u64 {
 
 impl JoinIndex {
     /// Group `right`'s rows by the values of `rcols` (rows with a null join
-    /// key are excluded — null keys never match). `rcols` must come from
-    /// [`join_rcols`] for the join this index will serve.
+    /// key are excluded — null keys never match). `rcols` must be the
+    /// [`JoinLayout::rcols`] of the join this index will serve.
     pub fn build(right: &Table, rcols: &[usize]) -> JoinIndex {
         let mut buckets: FxHashMap<u64, Vec<Vec<usize>>> = FxHashMap::default();
         for (key, rows) in group_by_columns(right, rcols) {
@@ -181,60 +194,25 @@ impl JoinIndex {
     }
 }
 
-/// The output schema of `inner_join(left, right)` — all of `left`'s
-/// columns followed by `right`'s non-common columns — without running the
-/// join. Callers that fold per-row summaries via
-/// [`inner_join_indexed_with`] use this to fix their row encoding before
-/// any row exists.
-pub fn join_schema(left: &Table, right: &Table) -> Result<Schema, OpError> {
-    join_layout(left, right).map(|(schema, ..)| schema)
-}
-
-/// [`inner_join`] against a prebuilt [`JoinIndex`] over `right` — the
-/// result is byte-identical (same schema, same row order, same name);
-/// only the right-side hashing is amortised. The index must have been
-/// built from this `right` with this join's [`join_rcols`].
-pub fn inner_join_indexed(
+/// The `(left row, right row)` index pairs of `left ⋈ right`, in the order
+/// [`inner_join`] emits rows (left-major, each left row's matches
+/// ascending) — the join without its rows. `None` the moment the join
+/// would hold more than `max_pairs` rows. `lcols` is the join's
+/// [`JoinLayout::lcols`], `index` was built from this `right` over the
+/// matching `rcols`, and `hashes[i]` is left row `i`'s entry of
+/// [`left_key_hashes`] — so a left table joined against many right tables
+/// over the same column set hashes its rows once.
+pub fn inner_join_pairs(
     left: &Table,
     right: &Table,
-    index: &JoinIndex,
-) -> Result<Table, OpError> {
-    inner_join_indexed_with(left, right, index, |_, _, _| {})
-}
-
-/// [`inner_join_indexed`] that additionally streams every emitted row
-/// through `visit(left_row, right_row, emitted_row)` — the two source row
-/// indices plus the materialized row, in emission order. Result rows of a
-/// large join outlive every cache level, so a caller that needs a
-/// row-level summary (e.g. Expand's dedup fingerprint) folds it here —
-/// from per-source-row precomputations or the hot row itself — instead of
-/// re-walking the result.
-pub fn inner_join_indexed_with(
-    left: &Table,
-    right: &Table,
-    index: &JoinIndex,
-    visit: impl FnMut(usize, usize, &[Value]),
-) -> Result<Table, OpError> {
-    let lcols = join_cols(left, right)?.0;
-    let hashes = left_key_hashes(left, &lcols);
-    inner_join_indexed_hashed(left, right, index, &hashes, visit)
-}
-
-/// [`inner_join_indexed_with`] with the left side's join-key hashes already
-/// computed (see [`left_key_hashes`]; `hashes[i]` pairs with left row `i`).
-/// Probing skips the per-row key hashing — the dominant left-side cost when
-/// the same left table joins against many right tables.
-pub fn inner_join_indexed_hashed(
-    left: &Table,
-    right: &Table,
+    lcols: &[usize],
     index: &JoinIndex,
     hashes: &[Option<u64>],
-    mut visit: impl FnMut(usize, usize, &[Value]),
-) -> Result<Table, OpError> {
-    let (schema, lcols, rcols, rextra) = join_layout(left, right)?;
-    debug_assert_eq!(rcols, index.rcols, "index built for a different join");
+    max_pairs: usize,
+) -> Option<Vec<(u32, u32)>> {
     debug_assert_eq!(hashes.len(), left.n_rows(), "hashes built for a different left");
-    let mut out = Table::new(format!("{}⋈{}", left.name(), right.name()), schema);
+    assert!(left.n_rows().max(right.n_rows()) <= u32::MAX as usize, "row index past u32");
+    let mut pairs = Vec::new();
     let mut key = Vec::with_capacity(lcols.len());
     for (li, lrow) in left.rows().iter().enumerate() {
         let Some(hash) = hashes[li] else {
@@ -243,59 +221,48 @@ pub fn inner_join_indexed_hashed(
         key.clear();
         key.extend(lcols.iter().map(|&c| &lrow[c]));
         if let Some(matches) = index.matches_hashed(right, hash, &key) {
-            for &ri in matches {
-                let row = joined_row(lrow, &right.rows()[ri], &rextra);
-                visit(li, ri, &row);
-                out.push_row(row).expect("layout fixed");
+            if pairs.len() + matches.len() > max_pairs {
+                return None;
             }
+            pairs.extend(matches.iter().map(|&ri| (li as u32, ri as u32)));
         }
     }
-    Ok(out)
+    Some(pairs)
 }
 
-/// [`inner_join_indexed`] with an output budget: materializes the join
-/// only while the output holds at most `max_rows` rows, and returns
-/// `Ok(None)` the moment it would exceed that (the partial output is
-/// dropped). A join that fits costs exactly what [`inner_join_indexed`]
-/// does — the budget check is one comparison per probed key — so callers
-/// that might *not* want a join (because its output would dwarf its
-/// inputs, e.g. the Expand engine's oversize veto) probe and materialize
-/// in a single pass, paying at most `O(|left| + max_rows)` for a veto
-/// instead of the full runaway materialization.
+/// [`inner_join`] against a prebuilt [`JoinIndex`] over `right` — the
+/// result is byte-identical (same schema, same row order, same name);
+/// only the right-side hashing is amortised. The index must have been
+/// built from this `right` over this join's [`JoinLayout::rcols`].
+pub fn inner_join_indexed(
+    left: &Table,
+    right: &Table,
+    index: &JoinIndex,
+) -> Result<Table, OpError> {
+    Ok(inner_join_indexed_capped(left, right, index, usize::MAX)?.expect("no cap"))
+}
+
+/// [`inner_join_indexed`] with an output budget: `Ok(None)` when the join
+/// would hold more than `max_rows` rows. The join is probed as index pairs
+/// first and its rows are built only if it fits, so callers that might
+/// *not* want a join (because its output would dwarf its inputs, e.g. the
+/// Expand engine's oversize veto) pay a veto no rows at all.
 pub fn inner_join_indexed_capped(
     left: &Table,
     right: &Table,
     index: &JoinIndex,
     max_rows: usize,
 ) -> Result<Option<Table>, OpError> {
-    let (schema, lcols, rcols, rextra) = join_layout(left, right)?;
-    debug_assert_eq!(rcols, index.rcols, "index built for a different join");
-    let hashes = left_key_hashes(left, &lcols);
-    let mut out = Table::new(format!("{}⋈{}", left.name(), right.name()), schema);
-    let mut key = Vec::with_capacity(lcols.len());
-    let mut budget = max_rows;
-    for (li, lrow) in left.rows().iter().enumerate() {
-        let Some(hash) = hashes[li] else {
-            continue; // null join key — never matches
-        };
-        key.clear();
-        key.extend(lcols.iter().map(|&c| &lrow[c]));
-        if let Some(matches) = index.matches_hashed(right, hash, &key) {
-            let Some(rest) = budget.checked_sub(matches.len()) else {
-                return Ok(None);
-            };
-            budget = rest;
-            for &ri in matches {
-                out.push_row(joined_row(lrow, &right.rows()[ri], &rextra)).expect("layout fixed");
-            }
-        }
-    }
-    Ok(Some(out))
+    let layout = join_layout(left, right)?;
+    debug_assert_eq!(layout.rcols, index.rcols, "index built for a different join");
+    let hashes = left_key_hashes(left, &layout.lcols);
+    let pairs = inner_join_pairs(left, right, &layout.lcols, index, &hashes, max_rows);
+    Ok(pairs.map(|pairs| layout.table(left, right, &pairs)))
 }
 
 /// Natural inner join (⋈) on the common columns.
 pub fn inner_join(left: &Table, right: &Table) -> Result<Table, OpError> {
-    let (schema, lcols, rcols, rextra) = join_layout(left, right)?;
+    let JoinLayout { schema, lcols, rcols, rextra } = join_layout(left, right)?;
     let rindex = group_by_columns(right, &rcols);
     let mut out = Table::new(format!("{}⋈{}", left.name(), right.name()), schema);
     for lrow in left.rows() {
@@ -323,7 +290,7 @@ pub fn inner_join(left: &Table, right: &Table) -> Result<Table, OpError> {
 /// Natural left (outer) join (⟕): inner join plus dangling left rows padded
 /// with nulls.
 pub fn left_join(left: &Table, right: &Table) -> Result<Table, OpError> {
-    let (schema, lcols, rcols, rextra) = join_layout(left, right)?;
+    let JoinLayout { schema, lcols, rcols, rextra } = join_layout(left, right)?;
     let rindex = group_by_columns(right, &rcols);
     let mut out = Table::new(format!("{}⟕{}", left.name(), right.name()), schema);
     for lrow in left.rows() {
@@ -353,7 +320,7 @@ pub fn left_join(left: &Table, right: &Table) -> Result<Table, OpError> {
 /// Natural full outer join (⟗): inner join plus dangling rows from both
 /// sides.
 pub fn full_outer_join(left: &Table, right: &Table) -> Result<Table, OpError> {
-    let (schema, lcols, rcols, rextra) = join_layout(left, right)?;
+    let JoinLayout { schema, lcols, rcols, rextra } = join_layout(left, right)?;
     let rindex = group_by_columns(right, &rcols);
     let mut matched_right: Vec<bool> = vec![false; right.n_rows()];
     let mut out = Table::new(format!("{}⟗{}", left.name(), right.name()), schema);
@@ -492,7 +459,7 @@ mod tests {
     #[test]
     fn indexed_inner_join_is_byte_identical() {
         let (l, r) = (left(), right());
-        let rcols = join_rcols(&l, &r).unwrap();
+        let rcols = join_layout(&l, &r).unwrap().rcols;
         let idx = JoinIndex::build(&r, &rcols);
         let plain = inner_join(&l, &r).unwrap();
         let indexed = inner_join_indexed(&l, &r, &idx).unwrap();
@@ -502,6 +469,10 @@ mod tests {
             indexed.schema().columns().collect::<Vec<_>>()
         );
         assert_eq!(plain.rows(), indexed.rows(), "row content and order must match");
+        // The budget is on the output: exactly fitting joins, one less vetoes.
+        let fits = inner_join_indexed_capped(&l, &r, &idx, plain.n_rows()).unwrap();
+        assert_eq!(fits.as_ref().map(Table::rows), Some(plain.rows()));
+        assert!(inner_join_indexed_capped(&l, &r, &idx, plain.n_rows() - 1).unwrap().is_none());
     }
 
     #[test]
@@ -517,8 +488,8 @@ mod tests {
             vec![vec![V::Int(3), V::str("t")], vec![V::Int(9), V::str("u")]],
         )
         .unwrap();
-        let rcols = join_rcols(&l1, &r).unwrap();
-        assert_eq!(rcols, join_rcols(&l2, &r).unwrap());
+        let rcols = join_layout(&l1, &r).unwrap().rcols;
+        assert_eq!(rcols, join_layout(&l2, &r).unwrap().rcols);
         let idx = JoinIndex::build(&r, &rcols);
         for l in [&l1, &l2] {
             let plain = inner_join(l, &r).unwrap();
@@ -537,7 +508,7 @@ mod tests {
             vec![vec![V::Int(1), V::Int(10)], vec![V::Null, V::Int(99)]],
         )
         .unwrap();
-        let rcols = join_rcols(&l, &r).unwrap();
+        let rcols = join_layout(&l, &r).unwrap().rcols;
         let idx = JoinIndex::build(&r, &rcols);
         let j = inner_join_indexed(&l, &r, &idx).unwrap();
         assert_eq!(j.rows(), inner_join(&l, &r).unwrap().rows());

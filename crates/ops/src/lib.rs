@@ -36,8 +36,7 @@ pub use error::OpError;
 pub use fd::{full_disjunction, saturating_complementation, FdBudget};
 pub use join::{
     cross_product, full_outer_join, inner_join, inner_join_indexed, inner_join_indexed_capped,
-    inner_join_indexed_hashed, inner_join_indexed_with, join_cols, join_rcols, join_schema,
-    left_join, left_key_hashes, JoinIndex,
+    inner_join_pairs, join_layout, left_join, left_key_hashes, JoinIndex, JoinLayout,
 };
 pub use unary::{
     complementation, minimal_form, project, project_named, select, select_eq, subsumption,

@@ -146,6 +146,7 @@ fn drain_deadline_bounds_shutdown_with_a_stalled_peer() {
 fn worker_panic_is_contained_respawned_and_counted() {
     let _g = locked();
     gent_faults::reset();
+    let logs = gent_obs::set_sink();
     let (addr, handle, runner) = boot(1, Duration::from_secs(5));
 
     gent_faults::arm("serve.worker.panic", gent_faults::Trigger::NthHit(1));
@@ -168,6 +169,9 @@ fn worker_panic_is_contained_respawned_and_counted() {
 
     handle.stop();
     runner.join().unwrap().unwrap();
+    gent_obs::clear_sink();
+    let logs = gent_obs::sink_to_string(&logs);
+    assert!(logs.contains("\"msg\":\"worker_panic\""), "the panic must be logged: {logs}");
 }
 
 /// Socket-boundary faults (connection reset before serving, mid-frame

@@ -23,6 +23,10 @@ use gent_table::{Table, Value as V};
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
+    // The torn-frame warnings these tests provoke by the hundred go to a
+    // capture buffer, not to `cargo test`'s stderr.
+    static QUIET: std::sync::Once = std::sync::Once::new();
+    QUIET.call_once(|| drop(gent_obs::set_sink()));
     FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 

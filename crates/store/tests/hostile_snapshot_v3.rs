@@ -59,6 +59,9 @@ fn table_with_sentinel(name: &str, sentinel: &str, seed: i64) -> Table {
 fn victim() -> &'static V3Snapshot {
     static CELL: OnceLock<V3Snapshot> = OnceLock::new();
     CELL.get_or_init(|| {
+        // Every test starts here, and every flipped or cut frame they open
+        // is logged: capture the lines instead of printing them.
+        drop(gent_obs::set_sink());
         let tables: Vec<Table> = (0..3)
             .map(|k| table_with_sentinel(&format!("t{k}"), &format!("only_t{k}"), k * 100))
             .collect();

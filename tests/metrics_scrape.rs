@@ -121,6 +121,8 @@ fn metrics_endpoint_survives_the_strict_parser() {
         "gent_expand_memo_hits_total",
         "gent_expand_candidates_dropped_total",
         "gent_expand_dedup_total",
+        "gent_expand_pairs_aligned_total",
+        "gent_expand_rows_materialised_total",
         // store
         "gent_store_snapshot_opens_total",
         "gent_store_snapshot_open_bytes_total",
