@@ -22,10 +22,10 @@ fn bench_end_to_end(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("gen_t_reclaim", label), |b| {
             b.iter(|| gen_t.reclaim(&source, &lake).unwrap())
         });
-        // Cross-PR trajectory entries for the full pipeline on this class,
-        // plus its per-stage breakdown from the result's span timings —
-        // medians over the same runs, so a stage-local regression shows up
-        // in the stage entry even when the total hides it.
+        // The full pipeline on this class plus its per-stage breakdown
+        // from the result's span timings — medians over the same runs, so
+        // a stage-local regression shows up in the stage number even when
+        // the total hides it.
         let mut stage_ms: [Vec<f64>; 3] = Default::default();
         let ms = gent_bench::time_median_ms(5, || {
             let result = std::hint::black_box(gen_t.reclaim(&source, &lake).unwrap());
@@ -34,13 +34,14 @@ fn bench_end_to_end(c: &mut Criterion) {
                 samples.push(d.as_secs_f64() * 1e3);
             }
         });
-        gent_bench::record_vs_baseline(&format!("end_to_end/gen_t_reclaim/{label}"), ms);
-        for (stage, samples) in ["discovery", "traversal", "integration"].iter().zip(&mut stage_ms)
-        {
+        let [discovery, traversal, integration] = stage_ms.map(|mut samples| {
             samples.sort_unstable_by(|a, b| a.total_cmp(b));
-            let median = samples[samples.len() / 2];
-            gent_bench::record_vs_baseline(&format!("end_to_end/stage/{stage}/{label}"), median);
-        }
+            samples[samples.len() / 2]
+        });
+        println!(
+            "end_to_end/{label}: {ms:.1} ms median of 5 — discovery {discovery:.1}, \
+             traversal {traversal:.1}, integration {integration:.1}"
+        );
     }
     g.finish();
 }

@@ -32,22 +32,6 @@ use gent_core::{expand, AlignmentMatrix, GenTConfig, RoundScorer};
 use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::{set_similarity, DataLake, SetSimilarityConfig};
 use gent_table::Table;
-use std::time::{Duration, Instant};
-
-/// Interleaved best-of-`n` (see `benches/snapshot.rs` for why minima).
-fn min_times<A: FnMut(), B: FnMut()>(n: usize, mut a: A, mut b: B) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..n {
-        let t = Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed());
-    }
-    (best_a, best_b)
-}
 
 /// The real greedy selection over an expanded candidate set, reported as
 /// selected table *names* plus the final EIS — the identity that must
@@ -129,14 +113,13 @@ fn bench_expand_join(c: &mut Criterion) {
             std::hint::black_box(run(candidates, &key_names, depth));
         }
     };
-    let (new_t, old_t) = min_times(3, || sweep(expand), || sweep(reference::expand));
+    let (new_t, old_t) = report::min_times(3, || sweep(expand), || sweep(reference::expand));
     let ratio = old_t.as_secs_f64() / new_t.as_secs_f64().max(1e-12);
     println!(
         "expand engine ({} cases, depth {depth}): engine {new_t:?} vs reference {old_t:?} — \
          {ratio:.2}× over the sweep",
         cases.len(),
     );
-    report::record("expand_join/expand_sweep", new_t.as_secs_f64() * 1e3, Some(ratio));
     // The acceptance gate: best-first search + suffix memo + cached join
     // indexes + relation dedup must beat the DFS/re-join/no-dedup
     // reference ≥1.1× aggregated over the sweep (per-case ratios range

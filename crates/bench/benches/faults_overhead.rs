@@ -12,22 +12,6 @@ use gent_bench::report;
 use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::DataLake;
 use gent_store::snapshot;
-use std::time::{Duration, Instant};
-
-/// Interleaved best-of-`n` (see `benches/snapshot.rs` for why minima).
-fn min_times<A: FnMut(), B: FnMut()>(n: usize, mut a: A, mut b: B) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..n {
-        let t = Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed());
-    }
-    (best_a, best_b)
-}
 
 fn bench_faults_overhead(c: &mut Criterion) {
     // The workload is the IO boundary the failpoints guard: persist a
@@ -51,7 +35,7 @@ fn bench_faults_overhead(c: &mut Criterion) {
     assert!(gent_faults::checks() > 0, "failpoints were never evaluated — dead gate");
     gent_faults::reset();
 
-    let (enabled_t, disabled_t) = min_times(
+    let (enabled_t, disabled_t) = report::min_times(
         9,
         || {
             gent_faults::set_enabled(true);
@@ -72,11 +56,6 @@ fn bench_faults_overhead(c: &mut Criterion) {
         "faults overhead: enabled-unarmed {enabled_t:?} vs disabled {disabled_t:?} \
          per 3 save+load cycles — {overhead:.3}× ({:+.2}%)",
         (overhead - 1.0) * 100.0
-    );
-    report::record(
-        "faults_overhead/snapshot_cycle",
-        enabled_t.as_secs_f64() * 1e3 / 3.0,
-        Some(overhead),
     );
     // The acceptance gate: an enabled-but-unarmed fault layer must cost
     // ≤5% of the cycle. Debug builds skip it (unoptimised atomics and

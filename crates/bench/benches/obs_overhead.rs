@@ -11,22 +11,6 @@ use gent_bench::report;
 use gent_core::{matrix_traversal, GenTConfig};
 use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::{set_similarity, DataLake, SetSimilarityConfig};
-use std::time::{Duration, Instant};
-
-/// Interleaved best-of-`n` (see `benches/snapshot.rs` for why minima).
-fn min_times<A: FnMut(), B: FnMut()>(n: usize, mut a: A, mut b: B) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..n {
-        let t = Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed());
-    }
-    (best_a, best_b)
-}
 
 fn bench_obs_overhead(c: &mut Criterion) {
     // Same representative workload as `traversal_hot`: TP-TR Med, one full
@@ -54,7 +38,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     // Interleaved best-of-9, three traversals per sample to sit well above
     // timer noise.
-    let (instr_t, plain_t) = min_times(
+    let (instr_t, plain_t) = report::min_times(
         9,
         || {
             gent_obs::set_enabled(true);
@@ -75,11 +59,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         "obs overhead: instrumented {instr_t:?} vs uninstrumented {plain_t:?} \
          per 3 traversals — {overhead:.3}× ({:+.2}%)",
         (overhead - 1.0) * 100.0
-    );
-    report::record(
-        "obs_overhead/matrix_traversal",
-        instr_t.as_secs_f64() * 1e3 / 3.0,
-        Some(overhead),
     );
     // The acceptance gate: spans + counters must cost ≤5% of the traversal.
     // Debug builds skip it (unoptimised atomics distort the ratio).

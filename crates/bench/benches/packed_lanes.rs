@@ -18,22 +18,6 @@ use gent_core::matrix::reference::NestedMatrix;
 use gent_core::{expand, AlignmentMatrix, GenTConfig};
 use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::{set_similarity, DataLake, SetSimilarityConfig};
-use std::time::{Duration, Instant};
-
-/// Interleaved best-of-`n` (see `benches/snapshot.rs` for why minima).
-fn min_times<A: FnMut(), B: FnMut()>(n: usize, mut a: A, mut b: B) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..n {
-        let t = Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed());
-    }
-    (best_a, best_b)
-}
 
 /// Greedy selection on prebuilt packed matrices: start pick + fused
 /// full-rescan rounds. Returns (selection, final EIS).
@@ -145,7 +129,7 @@ fn bench_packed_lanes(c: &mut Criterion) {
     assert!(packed_sel.len() >= 2, "selection must run at least one greedy round");
 
     // The full greedy selection, each way, interleaved best-of-7.
-    let (packed_t, nested_t) = min_times(
+    let (packed_t, nested_t) = report::min_times(
         7,
         || {
             std::hint::black_box(packed_select(&packed_mats, cap));
@@ -161,7 +145,6 @@ fn bench_packed_lanes(c: &mut Criterion) {
         expanded.len(),
         packed_sel.len()
     );
-    report::record("packed_lanes/greedy_selection", packed_t.as_secs_f64() * 1e3, Some(ratio));
     // The acceptance gate: 2-bit packing + word-lane kernels must beat the
     // nested-vector specification ≥2× on identical inputs. Debug builds
     // skip the assertion (unoptimised bounds checks swamp the comparison).

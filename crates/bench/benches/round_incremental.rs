@@ -18,22 +18,6 @@ use gent_bench::report;
 use gent_core::{expand, AlignmentMatrix, GenTConfig, RoundScorer};
 use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::{set_similarity, DataLake, SetSimilarityConfig};
-use std::time::{Duration, Instant};
-
-/// Interleaved best-of-`n` (see `benches/snapshot.rs` for why minima).
-fn min_times<A: FnMut(), B: FnMut()>(n: usize, mut a: A, mut b: B) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..n {
-        let t = Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed());
-    }
-    (best_a, best_b)
-}
 
 /// `matrix_traversal`'s GetStartTable pick.
 fn start_index(mats: &[AlignmentMatrix]) -> usize {
@@ -132,7 +116,7 @@ fn bench_round_incremental(c: &mut Criterion) {
     assert!(full_sel.len() >= 2, "selection must run at least one greedy round");
 
     // The complete greedy selection, each way, interleaved best-of-7.
-    let (inc_t, full_t) = min_times(
+    let (inc_t, full_t) = report::min_times(
         7,
         || {
             std::hint::black_box(incremental_select(&matrices, start, cap));
@@ -148,7 +132,6 @@ fn bench_round_incremental(c: &mut Criterion) {
         matrices.len(),
         full_sel.len()
     );
-    report::record("traversal_hot/round_incremental", inc_t.as_secs_f64() * 1e3, Some(ratio));
     // The acceptance gate: cached round state + dirty-row rescoring +
     // admissible bounds must make a greedy round ≥2× cheaper than the
     // fused full rescan on identical inputs. Debug builds skip the

@@ -10,30 +10,14 @@
 //! discovered candidate set — and **gates the fused path at ≥2× faster**
 //! (release mode) while asserting both paths return bit-identical scores,
 //! so the optimisation can never drift from the semantics it claims to
-//! preserve. A full `matrix_traversal` wall-clock entry rides along for the
-//! cross-PR trajectory in `BENCH_pipeline.json`.
+//! preserve. A full `matrix_traversal` wall-clock median is printed
+//! alongside.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gent_bench::report;
 use gent_core::{matrix_traversal, AlignmentMatrix, GenTConfig};
 use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::{set_similarity, DataLake, SetSimilarityConfig};
-use std::time::{Duration, Instant};
-
-/// Interleaved best-of-`n` (see `benches/snapshot.rs` for why minima).
-fn min_times<A: FnMut(), B: FnMut()>(n: usize, mut a: A, mut b: B) -> (Duration, Duration) {
-    let mut best_a = Duration::MAX;
-    let mut best_b = Duration::MAX;
-    for _ in 0..n {
-        let t = Instant::now();
-        a();
-        best_a = best_a.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best_b = best_b.min(t.elapsed());
-    }
-    (best_a, best_b)
-}
 
 fn bench_traversal_hot(c: &mut Criterion) {
     // TP-TR Med at its documented default scale: a scoring round lands in
@@ -84,7 +68,7 @@ fn bench_traversal_hot(c: &mut Criterion) {
     }
 
     // One full scoring round, each way, interleaved best-of-7.
-    let (fused_t, mat_t) = min_times(
+    let (fused_t, mat_t) = report::min_times(
         7,
         || {
             for m in &matrices {
@@ -103,7 +87,6 @@ fn bench_traversal_hot(c: &mut Criterion) {
          {mat_t:?}/round — {ratio:.1}× per scoring round",
         matrices.len()
     );
-    report::record("traversal_hot/score_round", fused_t.as_secs_f64() * 1e3, Some(ratio));
     // The acceptance gate: scoring a round without materializing combined
     // matrices must be at least 2× faster on identical inputs. Debug builds
     // skip the assertion (unoptimised bounds checks swamp the comparison).
@@ -114,12 +97,11 @@ fn bench_traversal_hot(c: &mut Criterion) {
         );
     }
 
-    // Trajectory entry: the whole traversal (expand + build + greedy loop)
-    // on the same case.
+    // The whole traversal (expand + build + greedy loop) on the same case.
     let full_ms = report::time_median_ms(7, || {
         std::hint::black_box(matrix_traversal(&case.source, &candidates, &gcfg));
     });
-    report::record_vs_baseline("traversal_hot/matrix_traversal_full", full_ms);
+    println!("matrix_traversal, whole (tp-tr-med): {full_ms:.1} ms median of 7");
 
     let mut g = c.benchmark_group("traversal_hot");
     g.sample_size(10);

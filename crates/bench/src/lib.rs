@@ -26,8 +26,8 @@ pub mod report;
 pub mod soak;
 
 /// Everything this crate's unit tests have logged so far. Some provoke
-/// log lines on purpose (a drift warning, faults injected under the soak);
-/// the first call installs one capture buffer for the whole test binary —
+/// log lines on purpose (faults injected under the soak); the first call
+/// installs one capture buffer for the whole test binary —
 /// never cleared, so tests running in parallel cannot take it from each
 /// other — and `cargo test`'s stderr stays quiet.
 #[cfg(test)]
@@ -42,5 +42,5 @@ pub use harness::{
     aggregate, run_benchmark, AggregateRow, CandidateMode, CaseOutcome, HarnessConfig, MethodSpec,
 };
 pub use promtext::{parse_exposition, Exposition, Sample};
-pub use report::{baseline_ms, record, record_vs_baseline, time_median_ms};
+pub use report::time_median_ms;
 pub use soak::{SoakConfig, SoakReport};

@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cleaning;
 pub mod config;
 pub mod expand;
@@ -44,7 +43,6 @@ pub mod round;
 pub(crate) mod telemetry;
 pub mod traversal;
 
-pub use batch::{summarize, BatchItem, BatchSummary};
 pub use cleaning::{impute, CleanedReclamation, Imputation, ImputationRule, ImputeConfig};
 pub use config::GenTConfig;
 pub use expand::{expand, expand_with_stats, ExpandStats};

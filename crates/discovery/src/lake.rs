@@ -7,7 +7,7 @@
 //! does not matter for set overlap.
 //!
 //! Tables are held as [`TableSlot`]s: in-memory lakes wrap eager slots,
-//! while a lake opened from a v2 snapshot holds *lazy* slots that decode
+//! while a lake opened from a snapshot holds *lazy* slots that decode
 //! their cell payloads from the shared snapshot buffer on first touch.
 //! Names, schemas and row counts are always available without a decode, so
 //! name lookups, statistics and posting-list retrieval never materialize a
@@ -26,106 +26,122 @@ pub struct Posting {
     pub column: u16,
 }
 
-/// The inverted index's backings: a mutable hash map while a lake is
-/// being built, a [`FrozenIndex`] when reopened from a snapshot (flat
-/// arrays — possibly zero-copy views into the snapshot buffer — loadable
-/// without per-value inserts), or a [`DeferredIndex`] whose frozen base is
-/// materialized (and integrity-checked) only when a lookup first needs it.
-/// Lookups behave identically across all of them.
+/// The inverted index's two backings: a mutable hash map while a lake is
+/// being built, or a [`SnapshotIndex`] when reopened from a snapshot (flat
+/// [`FrozenIndex`] arrays — zero-copy views into the snapshot buffer —
+/// under the pre-merged postings of any delta frames). Lookups behave
+/// identically across both.
+// One per lake and never moved in bulk, so the variants' size gap costs
+// nothing; boxing the snapshot form would put a pointer chase on every
+// posting lookup instead.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 enum LakeIndex {
     Map(FxHashMap<Value, Vec<Posting>>),
-    Frozen(FrozenIndex),
-    /// A frozen base plus a delta overlay — a v3 snapshot whose appended
-    /// frames index tables the frozen arrays predate. Overlay lists hold
-    /// the *merged* postings (base first, then deltas) for every key any
-    /// frame touched, so lookups stay a single probe returning one slice.
-    Overlaid {
-        base: FrozenIndex,
-        overlay: FxHashMap<Value, Vec<Posting>>,
-        novel: usize,
-    },
-    Deferred(DeferredIndex),
+    Snapshot(SnapshotIndex),
 }
 
-/// The thunk a deferred index runs on first touch: verify the index
+/// The thunk a snapshot-backed index runs on first touch: verify the index
 /// section's bytes and materialize the [`FrozenIndex`]. Supplied by the
 /// snapshot opener, which owns the buffer, the section range, and the
 /// stored checksum — the lake stays format-agnostic.
 pub type IndexThaw = std::sync::Arc<dyn Fn() -> Result<FrozenIndex, String> + Send + Sync>;
 
-/// An index whose frozen base has not been decoded yet — the v3 open path.
-/// `open` stops paying the O(section) verification + materialization pass;
-/// the first posting lookup (or an explicit [`DataLake::ensure_index`])
-/// pays it once, and the result — success or the structured failure — is
-/// memoized. Raw frame postings ride along un-merged and are folded behind
-/// the base exactly as [`DataLake::from_slots_with_delta`] would have.
-struct DeferredIndex {
+/// An index served from a snapshot. Its frozen base is decoded (and
+/// integrity-checked) only when a lookup first needs it, so `open` does
+/// not pay the O(section) verification + materialization pass; the first
+/// posting lookup (or an explicit [`DataLake::ensure_index`], which is how
+/// a degraded open hands the index over already thawed) pays it once, and
+/// the result — success or the structured failure — is memoized.
+#[derive(Clone)]
+struct SnapshotIndex {
     thaw: IndexThaw,
-    /// Per-value *new* postings from delta frames, merged at first force.
+    /// Per-value *new* postings from delta frames (tables the frozen base
+    /// predates), merged behind the base when the thaw runs.
     delta: FxHashMap<Value, Vec<Posting>>,
     /// Distinct-value count promised by the snapshot header — exact for a
     /// frameless lake, a floor once frames add novel values (exact again
-    /// after the first force).
+    /// after the thaw).
     len_hint: usize,
     cell: std::sync::OnceLock<Result<ThawedIndex, String>>,
 }
 
-/// What a forced [`DeferredIndex`] resolves to: the frozen base plus the
-/// pre-merged overlay (empty when the snapshot carried no frames).
+/// What a thawed [`SnapshotIndex`] resolves to: the frozen base plus the
+/// overlay (empty when the snapshot carried no frames). Overlay lists hold
+/// the *merged* postings (base first, then deltas) for every key any frame
+/// touched, so lookups stay a single probe returning one slice.
 #[derive(Debug, Clone)]
 struct ThawedIndex {
     base: FrozenIndex,
     overlay: FxHashMap<Value, Vec<Posting>>,
+    /// Overlay keys the base does not hold.
     novel: usize,
 }
 
-impl DeferredIndex {
+impl ThawedIndex {
+    /// Merge the frame `delta` behind `base` — the one place an overlay is
+    /// built.
+    fn merge(base: FrozenIndex, delta: &FxHashMap<Value, Vec<Posting>>) -> Self {
+        let mut novel = 0usize;
+        let overlay = delta
+            .iter()
+            .map(|(v, fresh)| {
+                let before = base.get(v);
+                if before.is_empty() {
+                    novel += 1;
+                }
+                let mut merged = Vec::with_capacity(before.len() + fresh.len());
+                merged.extend_from_slice(before);
+                merged.extend_from_slice(fresh);
+                (v.clone(), merged)
+            })
+            .collect();
+        ThawedIndex { base, overlay, novel }
+    }
+
+    fn get(&self, v: &Value) -> &[Posting] {
+        match self.overlay.get(v) {
+            Some(p) => p.as_slice(),
+            None => self.base.get(v),
+        }
+    }
+
+    /// Every key exactly once: base entries no frame touched, then the
+    /// overlay's merged lists.
+    fn entries(&self) -> impl Iterator<Item = (Value, &[Posting])> + '_ {
+        self.base
+            .entries()
+            .filter(|(v, _)| !self.overlay.contains_key(v))
+            .chain(self.overlay.iter().map(|(v, p)| (v.clone(), p.as_slice())))
+    }
+}
+
+impl SnapshotIndex {
     /// Materialize (once): run the thaw, then merge the frame delta behind
     /// the base. A failed thaw is memoized too — retrying cannot un-corrupt
     /// the section, and lookups after a failure must stay cheap.
     fn force(&self) -> Result<&ThawedIndex, &String> {
-        self.cell
-            .get_or_init(|| {
-                let base = (self.thaw)()?;
-                let mut novel = 0usize;
-                let overlay: FxHashMap<Value, Vec<Posting>> = self
-                    .delta
-                    .iter()
-                    .map(|(v, fresh)| {
-                        let before = base.get(v);
-                        if before.is_empty() {
-                            novel += 1;
-                        }
-                        let mut merged = Vec::with_capacity(before.len() + fresh.len());
-                        merged.extend_from_slice(before);
-                        merged.extend(fresh.iter().copied());
-                        (v.clone(), merged)
-                    })
-                    .collect();
-                Ok(ThawedIndex { base, overlay, novel })
-            })
-            .as_ref()
+        self.cell.get_or_init(|| Ok(ThawedIndex::merge((self.thaw)()?, &self.delta))).as_ref()
+    }
+
+    /// [`SnapshotIndex::force`] for the infallible accessors.
+    ///
+    /// Panics when the section fails verification — call
+    /// [`DataLake::ensure_index`] first on any path that can see hostile
+    /// bytes (the store's save/compact and the pipeline entry both do).
+    fn thawed(&self) -> &ThawedIndex {
+        self.force().unwrap_or_else(|e| {
+            panic!("snapshot index failed verification (ensure_index first): {e}")
+        })
     }
 }
 
-impl Clone for DeferredIndex {
-    fn clone(&self) -> Self {
-        DeferredIndex {
-            thaw: self.thaw.clone(),
-            delta: self.delta.clone(),
-            len_hint: self.len_hint,
-            cell: self.cell.clone(),
-        }
-    }
-}
-
-impl std::fmt::Debug for DeferredIndex {
+impl std::fmt::Debug for SnapshotIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeferredIndex")
+        f.debug_struct("SnapshotIndex")
             .field("len_hint", &self.len_hint)
             .field("delta_values", &self.delta.len())
-            .field("forced", &self.cell.get().is_some())
+            .field("thawed", &self.cell.get().is_some())
             .finish()
     }
 }
@@ -180,7 +196,7 @@ impl DataLake {
         ti
     }
 
-    /// Mutable access to the map backing, thawing a frozen index first
+    /// Mutable access to the map backing, converting a snapshot index first
     /// (documented cost: pushing into a snapshot-loaded lake re-expands the
     /// frozen arrays into a hash map once).
     fn index_map_mut(&mut self) -> &mut FxHashMap<Value, Vec<Posting>> {
@@ -189,33 +205,20 @@ impl DataLake {
         }
         match &mut self.index {
             LakeIndex::Map(m) => m,
-            _ => unreachable!("thawed above"),
+            LakeIndex::Snapshot(_) => unreachable!("converted above"),
         }
     }
 
-    /// The full index as an owned map, merging any overlay.
-    ///
-    /// Panics on a deferred index whose section fails verification — call
-    /// [`DataLake::ensure_index`] first on any path that can see hostile
-    /// bytes (the store's save/compact and the pipeline entry both do).
+    /// The full index as an owned map, merging any overlay (panics like
+    /// [`SnapshotIndex::thawed`]).
     fn index_to_map(&self) -> FxHashMap<Value, Vec<Posting>> {
         match &self.index {
             LakeIndex::Map(m) => m.clone(),
-            LakeIndex::Frozen(f) => f.to_map(),
-            LakeIndex::Overlaid { base, overlay, .. } => {
-                let mut m = base.to_map();
-                for (v, p) in overlay {
-                    m.insert(v.clone(), p.clone()); // overlay lists are pre-merged
-                }
-                m
-            }
-            LakeIndex::Deferred(d) => {
-                let t = d.force().unwrap_or_else(|e| {
-                    panic!("deferred index failed verification (ensure_index first): {e}")
-                });
+            LakeIndex::Snapshot(s) => {
+                let t = s.thawed();
                 let mut m = t.base.to_map();
                 for (v, p) in &t.overlay {
-                    m.insert(v.clone(), p.clone());
+                    m.insert(v.clone(), p.clone()); // overlay lists are pre-merged
                 }
                 m
             }
@@ -248,58 +251,17 @@ impl DataLake {
         Self::assemble(tables.into_iter().map(TableSlot::eager).collect(), LakeIndex::Map(index))
     }
 
-    /// Reassemble a lake around a [`FrozenIndex`] — the eager (v1) snapshot
-    /// load path. No per-value work happens here; the frozen arrays serve
-    /// lookups directly.
-    pub fn from_frozen(tables: Vec<Table>, index: FrozenIndex) -> Self {
-        Self::assemble(tables.into_iter().map(TableSlot::eager).collect(), LakeIndex::Frozen(index))
-    }
-
-    /// Reassemble a lake from pre-built table slots (lazy or eager) around a
-    /// [`FrozenIndex`] — the zero-copy (v2) snapshot load path. Postings
-    /// must index into `slots`; slot schemas are available without decode,
-    /// so the caller validates posting bounds cheaply before building.
-    pub fn from_slots(slots: Vec<TableSlot>, index: FrozenIndex) -> Self {
-        Self::assemble(slots, LakeIndex::Frozen(index))
-    }
-
-    /// [`DataLake::from_slots`] plus a delta overlay — the v3 snapshot load
-    /// path when delta frames follow the base. `delta` maps each value a
-    /// frame indexed to its *new* postings (tables the frozen base
-    /// predates); this merges them behind the base postings so
+    /// Reassemble a lake from pre-built table slots (lazy or eager) around
+    /// the index section of the snapshot they came from — the snapshot load
+    /// path. Nothing of the index is decoded here: `thaw` verifies and
+    /// materializes the frozen base on the first lookup, and its postings
+    /// must index into `slots` (slot schemas are available without decode,
+    /// so the thaw validates posting bounds cheaply). `len_hint` is the
+    /// snapshot header's distinct-value count (served by
+    /// [`DataLake::index_len`] until the thaw makes it exact); `delta` maps
+    /// each value a delta frame indexed to its *new* postings, merged
+    /// behind the base postings when the thaw runs so
     /// [`DataLake::postings`] stays one probe, one slice.
-    pub fn from_slots_with_delta(
-        slots: Vec<TableSlot>,
-        base: FrozenIndex,
-        delta: FxHashMap<Value, Vec<Posting>>,
-    ) -> Self {
-        if delta.is_empty() {
-            return Self::assemble(slots, LakeIndex::Frozen(base));
-        }
-        let mut novel = 0usize;
-        let overlay: FxHashMap<Value, Vec<Posting>> = delta
-            .into_iter()
-            .map(|(v, fresh)| {
-                let before = base.get(&v);
-                if before.is_empty() {
-                    novel += 1;
-                }
-                let mut merged = Vec::with_capacity(before.len() + fresh.len());
-                merged.extend_from_slice(before);
-                merged.extend(fresh);
-                (v, merged)
-            })
-            .collect();
-        Self::assemble(slots, LakeIndex::Overlaid { base, overlay, novel })
-    }
-
-    /// [`DataLake::from_slots_with_delta`], except the frozen base is not
-    /// decoded yet: `thaw` verifies and materializes it on the first
-    /// lookup — the v3 open path, where a per-section checksum lets open
-    /// skip the O(section) pass entirely. `len_hint` is the snapshot
-    /// header's distinct-value count (served by [`DataLake::index_len`]
-    /// until the force makes it exact); `delta` holds raw frame postings,
-    /// merged behind the base when the thaw runs.
     pub fn from_slots_deferred(
         slots: Vec<TableSlot>,
         thaw: IndexThaw,
@@ -308,7 +270,7 @@ impl DataLake {
     ) -> Self {
         Self::assemble(
             slots,
-            LakeIndex::Deferred(DeferredIndex {
+            LakeIndex::Snapshot(SnapshotIndex {
                 thaw,
                 delta,
                 len_hint,
@@ -317,24 +279,24 @@ impl DataLake {
         )
     }
 
-    /// Force a deferred index now, surfacing its verification failure as a
+    /// Thaw a snapshot index now, surfacing its verification failure as a
     /// structured error instead of empty lookups. A no-op (always `Ok`) on
-    /// every other backing. The pipeline calls this once at reclaim entry;
+    /// a map-backed lake. The pipeline calls this once at reclaim entry;
     /// the store calls it before re-freezing a lake into a snapshot.
     pub fn ensure_index(&self) -> Result<(), String> {
         match &self.index {
-            LakeIndex::Deferred(d) => d.force().map(|_| ()).map_err(|e| e.clone()),
-            _ => Ok(()),
+            LakeIndex::Map(_) => Ok(()),
+            LakeIndex::Snapshot(s) => s.force().map(|_| ()).map_err(|e| e.clone()),
         }
     }
 
     /// True when posting lookups can proceed without materializing
-    /// anything: always, except for a deferred index that has not been
-    /// forced yet (the observable behind lazy-open tests and benches).
+    /// anything: always, except for a snapshot index that has not been
+    /// thawed yet (the observable behind the lazy-open tests).
     pub fn index_ready(&self) -> bool {
         match &self.index {
-            LakeIndex::Deferred(d) => matches!(d.cell.get(), Some(Ok(_))),
-            _ => true,
+            LakeIndex::Map(_) => true,
+            LakeIndex::Snapshot(s) => matches!(s.cell.get(), Some(Ok(_))),
         }
     }
 
@@ -359,29 +321,28 @@ impl DataLake {
     /// serialised — that re-freeze is exactly what compaction pays for).
     pub fn frozen_index(&self) -> Option<&FrozenIndex> {
         match &self.index {
-            LakeIndex::Frozen(f) => Some(f),
-            // A frameless deferred index re-freezes to its own base; the
-            // force this costs is exactly the decode a save would pay
+            LakeIndex::Map(_) => None,
+            // A frameless snapshot index re-freezes to its own base; the
+            // thaw this costs is exactly the decode a save would pay
             // anyway. Verification failure is `None` — the fallible saver
             // has already called `ensure_index`.
-            LakeIndex::Deferred(d) if d.delta.is_empty() => d.force().ok().map(|t| &t.base),
-            LakeIndex::Map(_) | LakeIndex::Overlaid { .. } | LakeIndex::Deferred(_) => None,
+            LakeIndex::Snapshot(s) if s.delta.is_empty() => s.force().ok().map(|t| &t.base),
+            LakeIndex::Snapshot(_) => None,
         }
     }
 
     /// A frozen view of the index, cloning only when already frozen —
     /// what snapshot saving serialises. For an overlaid index this merges
     /// the delta back into one flat frozen structure (compaction).
+    ///
+    /// Panics on a snapshot index whose section fails verification — call
+    /// [`DataLake::ensure_index`] first on any path that can see hostile
+    /// bytes (the store's save/compact does).
     pub fn freeze_index(&self) -> FrozenIndex {
         match &self.index {
             LakeIndex::Map(m) => FrozenIndex::from_map(m),
-            LakeIndex::Frozen(f) => f.clone(),
-            LakeIndex::Overlaid { .. } => FrozenIndex::from_map(&self.index_to_map()),
-            LakeIndex::Deferred(d) if d.delta.is_empty() => match d.force() {
-                Ok(t) => t.base.clone(),
-                Err(e) => panic!("deferred index failed verification (ensure_index first): {e}"),
-            },
-            LakeIndex::Deferred(_) => FrozenIndex::from_map(&self.index_to_map()),
+            LakeIndex::Snapshot(s) if s.delta.is_empty() => s.thawed().base.clone(),
+            LakeIndex::Snapshot(_) => FrozenIndex::from_map(&self.index_to_map()),
         }
     }
 
@@ -466,40 +427,30 @@ impl DataLake {
     }
 
     /// Posting list for a value (empty slice when unseen). The first probe
-    /// of a deferred index materializes it; a section that fails
-    /// verification then yields empty postings — callers that must
-    /// distinguish "unseen" from "corrupt" gate on
-    /// [`DataLake::ensure_index`] first (the pipeline entry does).
+    /// of a snapshot index thaws it; a section that fails verification
+    /// then yields empty postings — callers that must distinguish "unseen"
+    /// from "corrupt" gate on [`DataLake::ensure_index`] first (the
+    /// pipeline entry does).
     pub fn postings(&self, v: &Value) -> &[Posting] {
         match &self.index {
             LakeIndex::Map(m) => m.get(v).map(|p| p.as_slice()).unwrap_or(&[]),
-            LakeIndex::Frozen(f) => f.get(v),
-            LakeIndex::Overlaid { base, overlay, .. } => match overlay.get(v) {
-                Some(p) => p.as_slice(),
-                None => base.get(v),
-            },
-            LakeIndex::Deferred(d) => match d.force() {
-                Ok(t) => match t.overlay.get(v) {
-                    Some(p) => p.as_slice(),
-                    None => t.base.get(v),
-                },
+            LakeIndex::Snapshot(s) => match s.force() {
+                Ok(t) => t.get(v),
                 Err(_) => &[],
             },
         }
     }
 
-    /// Number of distinct values in the inverted index. For a deferred
-    /// index this never forces: before the first force it reports the
-    /// snapshot header's count (exact unless delta frames added novel
-    /// values); after it, the exact merged count.
+    /// Number of distinct values in the inverted index. For a snapshot
+    /// index this never thaws: before the thaw it reports the snapshot
+    /// header's count (exact unless delta frames added novel values);
+    /// after it, the exact merged count.
     pub fn index_len(&self) -> usize {
         match &self.index {
             LakeIndex::Map(m) => m.len(),
-            LakeIndex::Frozen(f) => f.len(),
-            LakeIndex::Overlaid { base, novel, .. } => base.len() + novel,
-            LakeIndex::Deferred(d) => match d.cell.get() {
+            LakeIndex::Snapshot(s) => match s.cell.get() {
                 Some(Ok(t)) => t.base.len() + t.novel,
-                _ => d.len_hint,
+                _ => s.len_hint,
             },
         }
     }
@@ -511,22 +462,11 @@ impl DataLake {
     pub fn index_entries(&self) -> Box<dyn Iterator<Item = (Value, &[Posting])> + '_> {
         match &self.index {
             LakeIndex::Map(m) => Box::new(m.iter().map(|(v, p)| (v.clone(), p.as_slice()))),
-            LakeIndex::Frozen(f) => Box::new(f.entries()),
-            LakeIndex::Overlaid { base, overlay, .. } => Box::new(
-                base.entries()
-                    .filter(|(v, _)| !overlay.contains_key(v))
-                    .chain(overlay.iter().map(|(v, p)| (v.clone(), p.as_slice()))),
-            ),
-            // Forces; a failed verification iterates as empty (the same
+            // Thaws; a failed verification iterates as empty (the same
             // "gate on `ensure_index` to distinguish" contract as
             // `postings`).
-            LakeIndex::Deferred(d) => match d.force() {
-                Ok(t) => Box::new(
-                    t.base
-                        .entries()
-                        .filter(|(v, _)| !t.overlay.contains_key(v))
-                        .chain(t.overlay.iter().map(|(v, p)| (v.clone(), p.as_slice()))),
-                ),
+            LakeIndex::Snapshot(s) => match s.force() {
+                Ok(t) => Box::new(t.entries()),
                 Err(_) => Box::new(std::iter::empty()),
             },
         }
@@ -657,10 +597,31 @@ mod tests {
         assert_eq!(rebuilt.get_by_name("a").unwrap().rows(), l.get_by_name("a").unwrap().rows());
     }
 
+    /// A snapshot-backed lake over `tables`, built the way the store's open
+    /// builds one: the frozen `base` behind a thaw closure, frame postings
+    /// in `delta`.
+    fn snapshot_backed(
+        tables: Vec<Table>,
+        base: FrozenIndex,
+        delta: FxHashMap<Value, Vec<Posting>>,
+    ) -> DataLake {
+        let len_hint = base.len();
+        DataLake::from_slots_deferred(
+            tables.into_iter().map(TableSlot::eager).collect(),
+            std::sync::Arc::new(move || Ok(base.clone())),
+            len_hint,
+            delta,
+        )
+    }
+
     #[test]
     fn frozen_lake_serves_identical_lookups() {
         let l = lake();
-        let frozen = DataLake::from_frozen(l.tables_iter().cloned().collect(), l.freeze_index());
+        let frozen = snapshot_backed(
+            l.tables_iter().cloned().collect(),
+            l.freeze_index(),
+            FxHashMap::default(),
+        );
         assert!(frozen.frozen_index().is_some());
         assert_eq!(frozen.index_len(), l.index_len());
         for probe in [V::Int(1), V::Int(2), V::Int(3), V::str("u"), V::str("zz")] {
@@ -670,8 +631,8 @@ mod tests {
         assert_eq!(counts, l.containment_counts([V::Int(1), V::Int(3)].iter()));
     }
 
-    /// The delta-overlay backing (v3 snapshots with appended frames) must
-    /// answer exactly like a flat index built over the same tables.
+    /// A snapshot index with a delta overlay (appended frames) must answer
+    /// exactly like a flat index built over the same tables.
     #[test]
     fn overlaid_lake_matches_flat_rebuild() {
         let l = lake();
@@ -685,18 +646,16 @@ mod tests {
         let mut delta: FxHashMap<Value, Vec<Posting>> = FxHashMap::default();
         delta.insert(V::Int(1), vec![Posting { table: 2, column: 0 }]);
         delta.insert(V::Int(42), vec![Posting { table: 2, column: 0 }]);
-        let slots: Vec<TableSlot> = l
-            .tables_iter()
-            .cloned()
-            .chain(std::iter::once(delta_table.clone()))
-            .map(TableSlot::eager)
-            .collect();
-        let overlaid = DataLake::from_slots_with_delta(slots, l.freeze_index(), delta);
-
         let mut flat_tables: Vec<Table> = l.tables_iter().cloned().collect();
         flat_tables.push(delta_table);
+        let overlaid = snapshot_backed(flat_tables.clone(), l.freeze_index(), delta);
         let flat = DataLake::from_tables(flat_tables);
 
+        // Before the thaw the header's count is a floor (42 is novel).
+        assert!(!overlaid.index_ready());
+        assert_eq!(overlaid.index_len(), l.index_len());
+        overlaid.ensure_index().unwrap();
+        assert!(overlaid.index_ready());
         assert_eq!(overlaid.index_len(), flat.index_len());
         assert!(overlaid.frozen_index().is_none(), "overlaid index is not flat-frozen");
         for probe in [V::Int(1), V::Int(2), V::Int(3), V::Int(42), V::str("u"), V::str("zz")] {
@@ -722,8 +681,11 @@ mod tests {
     #[test]
     fn pushing_into_frozen_lake_thaws_it() {
         let l = lake();
-        let mut frozen =
-            DataLake::from_frozen(l.tables_iter().cloned().collect(), l.freeze_index());
+        let mut frozen = snapshot_backed(
+            l.tables_iter().cloned().collect(),
+            l.freeze_index(),
+            FxHashMap::default(),
+        );
         let t = Table::build("c", &["w"], &[], vec![vec![V::Int(99)]]).unwrap();
         let idx = frozen.push_table(t);
         assert!(frozen.frozen_index().is_none(), "thawed back to a map");

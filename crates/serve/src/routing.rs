@@ -285,9 +285,14 @@ impl Router {
         }
     }
 
-    /// Answer one connection's worth of input (see
-    /// [`LakeService::respond`] for the envelope guarantees — same
-    /// envelope, shared implementation).
+    /// Answer one connection's worth of input: either a parsed request or
+    /// the read error it failed with. Never panics outward — a panicking
+    /// handler answers 500 and the daemon lives on. Every answer lands in
+    /// the per-endpoint instruments (latency histogram, request/error
+    /// counters, in-flight gauge), carries the request's trace ID back in
+    /// an `X-Request-Id` header — propagated from the client's header when
+    /// it sent a well-formed one, generated otherwise — and is logged as
+    /// one structured line with that same ID.
     pub fn respond(&self, input: Result<Request, HttpError>) -> Response {
         self.served.fetch_add(1, Ordering::Relaxed);
         respond_enveloped(&self.metrics, input, |request| self.route(request))
@@ -983,6 +988,62 @@ mod tests {
             200,
             "failed reload must not disturb the live snapshot"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A file of a retired format generation (a current file whose version
+    /// word is overwritten with 1 or 2) gets the structured
+    /// `StoreError::Version` everywhere a snapshot is opened, a problem
+    /// line from fsck, and `422 reload_failed` from a reload onto it —
+    /// which leaves the live snapshot serving.
+    #[test]
+    fn retired_format_versions_are_refused_everywhere() {
+        use gent_store::{snapshot, StoreError};
+        let dir = std::env::temp_dir().join(format!("gent-routing-retired-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let live = dir.join("live.gentlake");
+        let lake = gent_discovery::DataLake::from_tables(lake_tables("one"));
+        snapshot::save(&live, &lake, None).unwrap();
+        let mut b = Router::builder(GenTConfig::default());
+        b.add_snapshot("main", &live).unwrap();
+        let r = b.build().unwrap();
+
+        for version in [1u16, 2] {
+            let old = dir.join(format!("v{version}.gentlake"));
+            let mut bytes = std::fs::read(&live).unwrap();
+            bytes[8..10].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&old, &bytes).unwrap();
+
+            let refused = |e: StoreError| match e {
+                StoreError::Version { found, supported: 3 } => found == version,
+                _ => false,
+            };
+            assert!(refused(snapshot::load(&old).unwrap_err()));
+            assert!(refused(gent_store::load_degraded(&old).unwrap_err()));
+            assert!(refused(snapshot::stat(&old).unwrap_err()));
+            assert!(refused(gent_store::append_tables(&old, &lake_tables("x")).unwrap_err()));
+            let report = gent_store::fsck(&old).unwrap();
+            assert!(
+                report.problems.iter().any(|p| p.what == "header"
+                    && p.detail.contains(&format!("version {version} is not supported"))),
+                "{:?}",
+                report.problems
+            );
+
+            let resp = r.respond(Ok(post(
+                "/admin/reload",
+                &format!(r#"{{"lake": "main", "path": "{}"}}"#, old.display()),
+            )));
+            assert_eq!(resp.status, 422, "{}", resp.body);
+            let v = Json::parse(&resp.body).unwrap();
+            assert_eq!(
+                v.get("error").unwrap().get("kind").and_then(Json::as_str),
+                Some("reload_failed")
+            );
+            let served =
+                r.respond(Ok(post("/reclaim", r#"{"source_name": "one_ids", "key": ["id"]}"#)));
+            assert_eq!(served.status, 200, "failed reload must not disturb the live snapshot");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,15 +1,16 @@
-//! Request routing and the reclamation service over one warm lake.
+//! The reclamation service over one warm lake: pipeline + stats.
 //!
 //! A [`LakeService`] owns the lake exactly once — tables, inverted index
 //! (usually a `FrozenIndex` straight from a snapshot) and any LSH bands —
 //! and every request borrows it. Nothing is re-derived or cloned per
-//! request: the server wraps the service in an `Arc` and all worker threads
-//! reclaim against the same handle, which is what makes warm serving cheap
-//! (see `crates/bench/benches/serve_smoke.rs`).
+//! request: the router wraps the service in an `Arc` and all worker threads
+//! reclaim against the same handle, which is what makes warm serving
+//! cheap. Dispatch lives in [`crate::routing::Router`]; this module holds
+//! what a request does once it has been routed to a lake, the request
+//! envelope, and the instruments.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -361,10 +362,10 @@ impl ApiError {
     }
 
     /// Render as the wire-format error response. When a trace ID is
-    /// installed (every request handled through [`LakeService::respond`]
-    /// installs one), the error body carries it too, so a client that
-    /// discarded the `X-Request-Id` header can still correlate the failure
-    /// with the daemon's logs.
+    /// installed (every request handled through
+    /// [`crate::routing::Router::respond`] installs one), the error body
+    /// carries it too, so a client that discarded the `X-Request-Id` header
+    /// can still correlate the failure with the daemon's logs.
     pub fn to_response(&self) -> Response {
         let mut error = vec![
             ("kind".into(), Json::str(self.kind)),
@@ -396,8 +397,6 @@ pub struct LakeService {
     quarantined: std::collections::HashSet<String>,
     /// Delta frames the snapshot carried when this service was built.
     n_frames: usize,
-    started: Instant,
-    served: AtomicU64,
     metrics: Arc<HttpMetrics>,
 }
 
@@ -436,8 +435,6 @@ impl LakeService {
             total_cols,
             quarantined: loaded.quarantined.iter().map(|q| q.name.clone()).collect(),
             n_frames: loaded.n_frames,
-            started: Instant::now(),
-            served: AtomicU64::new(0),
             metrics,
         }
     }
@@ -492,57 +489,6 @@ impl LakeService {
         &self.lake
     }
 
-    /// Requests answered so far.
-    pub fn requests_served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Answer one connection's worth of input: either a parsed request or
-    /// the read error it failed with. Never panics outward — a panicking
-    /// handler answers 500 and the daemon lives on. Every answer lands in
-    /// the per-endpoint instruments (latency histogram, request/error
-    /// counters, in-flight gauge), carries the request's trace ID back in
-    /// an `X-Request-Id` header — propagated from the client's header when
-    /// it sent a well-formed one, generated otherwise — and is logged as
-    /// one structured line with that same ID.
-    pub fn respond(&self, input: Result<Request, HttpError>) -> Response {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        respond_enveloped(&self.metrics, input, |request| self.route(request))
-    }
-
-    fn route(&self, request: &Request) -> Result<Response, ApiError> {
-        let path = request.path.split('?').next().unwrap_or("");
-        match (request.method.as_str(), path) {
-            ("GET", "/healthz") => Ok(self.healthz()),
-            ("GET", "/lake/stat") => Ok(self.lake_stat()),
-            ("GET", "/metrics") => Ok(self.metrics_exposition()),
-            ("POST", "/reclaim") => self.reclaim(request),
-            (_, "/healthz" | "/lake/stat" | "/metrics") => Err(ApiError::new(
-                405,
-                "bad_method",
-                format!("{} does not accept {}; use GET", path, request.method),
-            )),
-            (_, "/reclaim") => Err(ApiError::new(
-                405,
-                "bad_method",
-                format!("/reclaim does not accept {}; use POST", request.method),
-            )),
-            _ => Err(ApiError::new(404, "unknown_path", format!("no such endpoint `{path}`"))),
-        }
-    }
-
-    fn healthz(&self) -> Response {
-        Response::ok(
-            Json::Object(vec![
-                ("status".into(), Json::str("ok")),
-                ("tables".into(), Json::Int(self.lake.len() as i64)),
-                ("uptime_secs".into(), Json::Float(self.started.elapsed().as_secs_f64())),
-                ("requests_served".into(), Json::Int(self.requests_served() as i64)),
-            ])
-            .render(),
-        )
-    }
-
     /// `/lake/stat`: counts come from slot metadata and the header-derived
     /// totals, the decode gauges from `OnceLock` states — the endpoint
     /// itself never forces a table or band decode, so statting a lazily
@@ -574,17 +520,6 @@ impl LakeService {
         )
     }
 
-    /// `GET /metrics`: Prometheus text exposition (format 0.0.4) — the
-    /// process-global registry (pipeline stages, traversal counters, store
-    /// opens) followed by this service's HTTP registry. The lake-decode
-    /// gauges are sampled here, at scrape time, from the same `OnceLock`
-    /// states `/lake/stat` reads — no table or band decode is forced.
-    fn metrics_exposition(&self) -> Response {
-        self.sample_lake_gauges();
-        self.set_uptime();
-        render_metrics(&self.metrics)
-    }
-
     /// Refresh this lake's `{lake=…}` decode gauges from the `OnceLock`
     /// states. The router calls this on every slot before rendering a
     /// multi-lake scrape.
@@ -594,18 +529,6 @@ impl LakeService {
         g.tables_total.set(self.lake.len() as i64);
         g.lsh_decoded.set(i64::from(self.lsh.is_decoded()));
         g.quarantined_tables.set(self.quarantined.len() as i64);
-    }
-
-    /// Refresh the shared uptime gauge from this service's start time.
-    pub(crate) fn set_uptime(&self) {
-        self.metrics
-            .uptime_seconds
-            .set(i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX));
-    }
-
-    fn reclaim(&self, request: &Request) -> Result<Response, ApiError> {
-        let body = parse_json_body(&request.body)?;
-        self.reclaim_body(&body)
     }
 
     /// Handle one parsed `/reclaim` body against this lake: parse the
@@ -711,9 +634,9 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// The request envelope shared by the single-lake service and the
-/// multi-lake router: trace-ID install (echoed from a well-formed client
-/// `X-Request-Id`, generated otherwise), per-endpoint instruments
+/// The request envelope around the router's dispatch: trace-ID install
+/// (echoed from a well-formed client `X-Request-Id`, generated otherwise),
+/// per-endpoint instruments
 /// (request/error counters, in-flight gauge, latency histogram), panic
 /// containment (a panicking handler answers 500 and the daemon lives on),
 /// one structured log line, and the `X-Request-Id` response header.
@@ -1025,6 +948,7 @@ fn string_array(v: &Json) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::Router;
     use gent_store::{InMemory, LakeSource};
     use gent_table::Value as V;
 
@@ -1052,6 +976,12 @@ mod tests {
         LakeService::new(loaded, GenTConfig::default(), "test lake")
     }
 
+    /// The single-lake router every request below goes through — the one
+    /// dispatch table the daemon serves from.
+    fn router() -> Router {
+        Router::single(service())
+    }
+
     fn post(body: &str) -> Request {
         Request {
             method: "POST".into(),
@@ -1063,7 +993,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_ok() {
-        let s = service();
+        let s = router();
         let r = s.respond(Ok(Request {
             method: "GET".into(),
             path: "/healthz".into(),
@@ -1078,7 +1008,7 @@ mod tests {
 
     #[test]
     fn lake_stat_reports_counts() {
-        let s = service();
+        let s = router();
         let r = s.respond(Ok(Request {
             method: "GET".into(),
             path: "/lake/stat".into(),
@@ -1093,7 +1023,7 @@ mod tests {
 
     #[test]
     fn reclaim_inline_source_round_trips() {
-        let s = service();
+        let s = router();
         let body = r#"{"source": {"name": "S", "columns": ["id", "name", "age"],
             "key": ["id"],
             "rows": [[0, "Smith", 27], [1, "Brown", 24]]}}"#;
@@ -1109,7 +1039,7 @@ mod tests {
 
     #[test]
     fn reclaim_reports_pipeline_timings() {
-        let s = service();
+        let s = router();
         let body = r#"{"source": {"name": "S", "columns": ["id", "name", "age"],
             "key": ["id"],
             "rows": [[0, "Smith", 27], [1, "Brown", 24]]}}"#;
@@ -1141,14 +1071,14 @@ mod tests {
 
     #[test]
     fn reclaim_by_lake_name() {
-        let s = service();
+        let s = router();
         let r = s.respond(Ok(post(r#"{"source_name": "ids", "key": ["id"]}"#)));
         assert_eq!(r.status, 200, "body: {}", r.body);
     }
 
     #[test]
     fn unknown_table_is_404() {
-        let s = service();
+        let s = router();
         let r = s.respond(Ok(post(r#"{"source_name": "nope"}"#)));
         assert_eq!(r.status, 404);
         let v = Json::parse(&r.body).unwrap();
@@ -1160,7 +1090,7 @@ mod tests {
 
     #[test]
     fn bad_json_is_400() {
-        let s = service();
+        let s = router();
         let r = s.respond(Ok(post("{not json")));
         assert_eq!(r.status, 400);
         let v = Json::parse(&r.body).unwrap();
@@ -1169,7 +1099,7 @@ mod tests {
 
     #[test]
     fn wrong_method_is_405_and_unknown_path_404() {
-        let s = service();
+        let s = router();
         let get_reclaim = Request {
             method: "GET".into(),
             path: "/reclaim".into(),
@@ -1188,7 +1118,7 @@ mod tests {
 
     #[test]
     fn read_errors_map_to_structured_responses() {
-        let s = service();
+        let s = router();
         let r = s.respond(Err(HttpError::Truncated { expected: 10, got: 3 }));
         assert_eq!(r.status, 400);
         let v = Json::parse(&r.body).unwrap();
@@ -1230,8 +1160,8 @@ mod tests {
     /// histograms, and the histograms actually accumulate observations.
     #[test]
     fn lake_stat_reports_decode_gauge_and_latency() {
-        let s = service();
-        let stat = |s: &LakeService| {
+        let s = router();
+        let stat = |s: &Router| {
             let r = s.respond(Ok(Request {
                 method: "GET".into(),
                 path: "/lake/stat".into(),
@@ -1278,7 +1208,7 @@ mod tests {
 
     #[test]
     fn request_counter_increments() {
-        let s = service();
+        let s = router();
         assert_eq!(s.requests_served(), 0);
         s.respond(Ok(post("{}")));
         s.respond(Err(HttpError::Malformed("x".into())));
@@ -1299,7 +1229,7 @@ mod tests {
 
     #[test]
     fn metrics_exposition_serves_prometheus_text() {
-        let s = service();
+        let s = router();
         s.respond(Ok(get("/healthz")));
         s.respond(Ok(post("{}"))); // bad JSON → reclaim error
         let r = s.respond(Ok(get("/metrics")));
@@ -1337,7 +1267,7 @@ mod tests {
 
     #[test]
     fn responses_echo_or_generate_request_ids() {
-        let s = service();
+        let s = router();
         // A well-formed client ID is echoed verbatim.
         let r = s.respond(Ok(Request {
             method: "GET".into(),
@@ -1389,7 +1319,7 @@ mod tests {
     /// buckets — counts, per-bucket tallies and sums must agree exactly.
     #[test]
     fn stat_and_metrics_views_agree() {
-        let s = service();
+        let s = router();
         for _ in 0..3 {
             s.respond(Ok(get("/healthz")));
         }

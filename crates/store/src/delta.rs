@@ -1,4 +1,4 @@
-//! Append-only delta frames: how a v3 snapshot grows without a rewrite.
+//! Append-only delta frames: how a snapshot grows without a rewrite.
 //!
 //! A frame is a self-delimiting record appended after the base body:
 //!
@@ -32,8 +32,8 @@
 //!
 //! Frames carry their own string table, so they decode independently of
 //! the base strtab; their index entries hold only the *new* postings
-//! (tables at `first_table..`), merged over the frozen base by
-//! [`gent_discovery::DataLake::from_slots_with_delta`]. Appended tables
+//! (tables at `first_table..`), merged over the frozen base when
+//! [`gent_discovery::DataLake::from_slots_deferred`]'s index thaws. Appended tables
 //! are covered by the exact inverted index immediately; the LSH bands
 //! cover them after the next compaction (documented degradation —
 //! approximate retrieval simply does not see frame tables yet).
@@ -52,7 +52,7 @@ use gent_table::binary::{
 use gent_table::{FxHashMap, FxHashSet, Table, Value};
 
 use crate::error::StoreError;
-use crate::format::{SectionDirV3, SnapshotHeader, FRAME_COMMIT, FRAME_MAGIC, HEADER_LEN};
+use crate::format::{SectionDirV3, SnapshotHeader, FRAME_COMMIT, FRAME_MAGIC};
 
 /// Byte overhead of a frame around its payload: magic + length prefix +
 /// checksum + commit marker.
@@ -347,7 +347,7 @@ pub struct AppendOutcome {
     pub truncated_torn_tail: bool,
 }
 
-/// Append `tables` to the v3 snapshot at `path` as one delta frame, under
+/// Append `tables` to the snapshot at `path` as one delta frame, under
 /// the crash-safe protocol: any torn tail is truncated, the frame is
 /// written **without** its commit marker and fsynced, then the marker is
 /// written and fsynced, then the parent directory is fsynced. The append
@@ -362,17 +362,6 @@ pub fn append_tables(path: &Path, tables: &[Table]) -> Result<AppendOutcome, Sto
     }
     let bytes = fs::read(path).map_err(|e| StoreError::io(path, e))?;
     let header = SnapshotHeader::decode(&bytes)?;
-    if header.version != crate::format::SNAPSHOT_FORMAT_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "delta append requires a v{} snapshot, found v{} — re-save it with the current \
-             writer first",
-            crate::format::SNAPSHOT_FORMAT_VERSION,
-            header.version
-        )));
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::Corrupt("file too short for a snapshot".into()));
-    }
     let (_, body_end) = SectionDirV3::decode(&bytes, header.n_tables as usize, header.has_lsh())?;
     let scan = scan_frames(&bytes, body_end, header.n_tables, false)?;
     let first_table = header.n_tables + scan.frames.iter().map(|f| f.n_tables).sum::<u32>();
@@ -430,15 +419,12 @@ pub fn append_tables(path: &Path, tables: &[Table]) -> Result<AppendOutcome, Sto
 pub fn frame_count(path: &Path) -> Result<(usize, bool), StoreError> {
     let bytes = fs::read(path).map_err(|e| StoreError::io(path, e))?;
     let header = SnapshotHeader::decode(&bytes)?;
-    if header.version != crate::format::SNAPSHOT_FORMAT_VERSION {
-        return Ok((0, false));
-    }
     let (_, body_end) = SectionDirV3::decode(&bytes, header.n_tables as usize, header.has_lsh())?;
     let scan = scan_frames(&bytes, body_end, header.n_tables, false)?;
     Ok((scan.frames.len(), scan.torn_tail.is_some()))
 }
 
-/// Fold every delta frame back into a clean v3 base file: load the lake
+/// Fold every delta frame back into a clean base file: load the lake
 /// (frames and all), re-freeze the merged index, and atomically rewrite
 /// `path` via the `write_atomic` protocol. Returns the number of frames
 /// folded. The rewrite also re-derives nothing from quarantined state —

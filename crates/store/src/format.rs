@@ -1,21 +1,22 @@
 //! The on-disk snapshot container format.
 //!
-//! This module owns the fixed header and (since version 2) the
-//! section-offset table; the full byte-level specification — section
-//! layouts, column tags, the canonical value encoding, evolution rules —
-//! lives in `docs/gentlake-format.md` and must be updated in the same
-//! change as any codec edit. The 10,000-foot view (all integers
-//! little-endian, no padding between sections):
+//! This module owns the fixed header and the section directory; the full
+//! byte-level specification — section layouts, column tags, the canonical
+//! value encoding, delta frames, evolution rules — lives in
+//! `docs/gentlake-format.md` and must be updated in the same change as any
+//! codec edit. The 10,000-foot view (all integers little-endian, no
+//! padding between sections):
 //!
 //! ```text
-//! file    := header | dir | body | fold64(header‖dir‖body) u64
+//! file    := header | dir | body | frame*
 //! header  := MAGIC "GENTLAKE" (8) | version u16 | flags u16
 //!          | n_tables u32 | total_rows u64 | total_cols u64
 //!          | n_index_entries u64 | n_lsh_columns u32 | reserved u32
 //!          (48 bytes total — `HEADER_LEN`)
-//! dir     := (offset u64 | len u64) × (3 + n_tables)   -- v2 only:
-//!            strtab, index, lsh (0/0 when absent), then one per table;
-//!            absolute file offsets, contiguous, in body order
+//! dir     := (offset u64 | len u64 | fold64(section) u64) × (3 + n_tables)
+//!            | fold64(header‖entries) u64
+//!            -- strtab, index, lsh (zeros when absent), then one per
+//!            table; absolute file offsets, contiguous, in body order
 //! body    := strtab | tables | index | [lsh]   (lsh iff flags bit 0)
 //! strtab  := deduplicated strings shared by all tables
 //!            (gent_table::binary::StringTableBuilder)
@@ -29,26 +30,25 @@
 //!            — entries sorted by canonical key bytes, so equal lakes
 //!            produce byte-identical snapshots
 //! lsh     := cfg | columns (bulk signature slots) | partitions
+//! frame*  := append-only delta frames (see `crate::delta`)
 //! ```
 //!
-//! The design goal of v1 was an *open path at memory-copy speed*; v2 goes
-//! further: a **zero-copy, zero-decode open**. The section-offset table
-//! ([`SectionDir`]) frames every section, so `load` reads the file once
+//! The design goal is a **zero-copy, zero-decode open**. The directory
+//! ([`SectionDirV3`]) frames every section, so `load` reads the file once
 //! into a shared `LakeBuf`, anchors the [`gent_discovery::FrozenIndex`]
 //! arrays as views into it, and defers each table's cell payload to a lazy
 //! [`gent_table::binary::TableSlot`] — opening a lake decodes table
-//! *preambles* (name, schema, row count) and the posting arena, nothing
-//! else. Version 1 files (no directory) remain readable via the legacy
-//! eager decoder. The single trailing checksum covers header, directory
-//! and body, so any bit flip anywhere in the file is detected at open time.
+//! *preambles* (name, schema, row count), nothing else. Each directory
+//! entry carries its section's checksum, verified on that section's first
+//! decode; the meta checksum over header‖directory is verified at open.
 //!
 //! Evolvability contract (see `docs/gentlake-format.md` for the details):
-//! readers hard-reject unknown versions and must reject unknown `flags`
-//! bits rather than skip bytes; new optional sections claim the next flag
-//! bit and append after `index` (gaining a directory entry after the fixed
-//! three); `reserved` grows the header only for zero-defaulting fields;
-//! and counts or offsets that size allocations or build views are always
-//! validated against the bytes actually present.
+//! readers hard-reject every version but the current one and must reject
+//! unknown `flags` bits rather than skip bytes; new optional sections
+//! claim the next flag bit and append after `index` (gaining a directory
+//! entry after the fixed three); `reserved` grows the header only for
+//! zero-defaulting fields; and counts or offsets that size allocations or
+//! build views are always validated against the bytes actually present.
 
 use crate::error::StoreError;
 use gent_table::binary::{fold64, BinReader, BinWriter};
@@ -56,21 +56,11 @@ use gent_table::binary::{fold64, BinReader, BinWriter};
 /// Magic prefix of a lake snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"GENTLAKE";
 
-/// Current container format version: v3, the durable live-lake layout —
-/// per-section checksums in the directory (verified on first decode of
-/// each section instead of one O(file) pass at open) plus append-only
-/// delta frames after the body.
+/// The container format version, the only one read or written: v3, the
+/// durable live-lake layout — per-section checksums in the directory
+/// (verified on first decode of each section instead of one O(file) pass
+/// at open) plus append-only delta frames after the body.
 pub const SNAPSHOT_FORMAT_VERSION: u16 = 3;
-
-/// The zero-copy layout with a section-offset table and one whole-file
-/// trailing checksum. Still decoded (and writable via
-/// `snapshot::save_v2` for the open-cost comparison bench), no longer
-/// the default.
-pub const SNAPSHOT_FORMAT_V2: u16 = 2;
-
-/// The legacy eager layout (no section directory). Still decoded, never
-/// written (except by tests pinning back-compatibility).
-pub const SNAPSHOT_FORMAT_V1: u16 = 1;
 
 /// Magic prefix of a v3 delta frame.
 pub const FRAME_MAGIC: &[u8; 8] = b"GENTFRM1";
@@ -89,9 +79,6 @@ pub const KNOWN_FLAGS: u16 = FLAG_HAS_LSH;
 
 /// Byte length of the fixed header.
 pub const HEADER_LEN: usize = 8 + 2 + 2 + 4 + 8 + 8 + 8 + 4 + 4;
-
-/// Byte length of the trailing checksum.
-pub const TRAILER_LEN: usize = 8;
 
 /// The decoded fixed header — also the payload of `lake stat`, which reads
 /// only these bytes and the file length.
@@ -148,10 +135,7 @@ impl SnapshotHeader {
             )));
         }
         let version = r.get_u16().expect("length checked");
-        if version != SNAPSHOT_FORMAT_VERSION
-            && version != SNAPSHOT_FORMAT_V2
-            && version != SNAPSHOT_FORMAT_V1
-        {
+        if version != SNAPSHOT_FORMAT_VERSION {
             return Err(StoreError::Version { found: version, supported: SNAPSHOT_FORMAT_VERSION });
         }
         let flags = r.get_u16().expect("length checked");
@@ -189,128 +173,14 @@ pub struct SectionRange {
 }
 
 impl SectionRange {
-    /// The section as a `usize` range (valid after [`SectionDir::decode`]'s
-    /// bounds checks).
+    /// The section as a `usize` range (valid after
+    /// [`SectionDirV3::decode`]'s bounds checks).
     pub fn range(&self) -> std::ops::Range<usize> {
         self.offset as usize..(self.offset + self.len) as usize
     }
 }
 
-/// The v2 section-offset table: where each body section lives, so a reader
-/// can address any table (or skip the LSH export entirely) without
-/// sequentially decoding everything before it. Entries are absolute file
-/// offsets in body order; the directory itself sits between the fixed
-/// header and the first section and is covered by the trailing checksum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionDir {
-    /// The shared string table.
-    pub strtab: SectionRange,
-    /// The frozen inverted index.
-    pub index: SectionRange,
-    /// The LSH export; `None` when the header's LSH flag is clear
-    /// (serialized as offset 0 / length 0).
-    pub lsh: Option<SectionRange>,
-    /// One columnar frame per table, in table order.
-    pub tables: Vec<SectionRange>,
-}
-
-impl SectionDir {
-    /// Encoded directory size for `n_tables` tables.
-    pub fn encoded_len(n_tables: usize) -> usize {
-        16 * (3 + n_tables)
-    }
-
-    /// Append the directory to `w` (fixed entries first, then tables).
-    pub fn encode(&self, w: &mut BinWriter) {
-        let mut put = |s: &SectionRange| {
-            w.put_u64(s.offset);
-            w.put_u64(s.len);
-        };
-        put(&self.strtab);
-        put(&self.index);
-        put(&self.lsh.unwrap_or(SectionRange { offset: 0, len: 0 }));
-        for t in &self.tables {
-            put(t);
-        }
-    }
-
-    /// Decode and validate a directory for a file of `file_len` bytes with
-    /// `n_tables` tables. Every offset is checked before any view is built:
-    /// sections must tile the body **contiguously in body order** (strtab,
-    /// tables, index, then LSH) from the byte after the directory to the
-    /// byte before the trailer — the v2 equivalent of v1's "reader must
-    /// consume every byte" rule, so corrupt offsets surface as a structured
-    /// error here, never as a panicking slice downstream.
-    pub fn decode(
-        r: &mut BinReader<'_>,
-        n_tables: usize,
-        has_lsh: bool,
-        file_len: usize,
-    ) -> Result<Self, StoreError> {
-        let body_start = (HEADER_LEN + Self::encoded_len(n_tables)) as u64;
-        let body_end = (file_len - TRAILER_LEN) as u64;
-        let read_pair = |r: &mut BinReader<'_>| -> Result<(u64, u64), StoreError> {
-            Ok((r.get_u64()?, r.get_u64()?))
-        };
-        let check = |(offset, len): (u64, u64), what: &str| -> Result<SectionRange, StoreError> {
-            let end = offset.checked_add(len).ok_or_else(|| {
-                StoreError::Corrupt(format!("{what} section {offset}+{len} overflows"))
-            })?;
-            if offset < body_start || end > body_end {
-                return Err(StoreError::Corrupt(format!(
-                    "{what} section {offset}..{end} outside the body ({body_start}..{body_end})"
-                )));
-            }
-            Ok(SectionRange { offset, len })
-        };
-        let strtab = check(read_pair(r)?, "strtab")?;
-        let index = check(read_pair(r)?, "index")?;
-        let lsh_raw = read_pair(r)?;
-        let mut tables = Vec::with_capacity(n_tables);
-        for i in 0..n_tables {
-            tables.push(check(read_pair(r)?, &format!("table {i}"))?);
-        }
-        let lsh = if has_lsh {
-            Some(check(lsh_raw, "lsh")?)
-        } else {
-            if lsh_raw != (0, 0) {
-                return Err(StoreError::Corrupt(format!(
-                    "lsh directory entry {}+{} set but the LSH flag is clear",
-                    lsh_raw.0, lsh_raw.1
-                )));
-            }
-            None
-        };
-        // Contiguity: the sections tile the body exactly, in body order.
-        let mut cursor = body_start;
-        let mut advance = |s: &SectionRange, what: &str| -> Result<(), StoreError> {
-            if s.offset != cursor {
-                return Err(StoreError::Corrupt(format!(
-                    "{what} section starts at {} but the previous section ends at {cursor}",
-                    s.offset
-                )));
-            }
-            cursor += s.len;
-            Ok(())
-        };
-        advance(&strtab, "strtab")?;
-        for (i, t) in tables.iter().enumerate() {
-            advance(t, &format!("table {i}"))?;
-        }
-        advance(&index, "index")?;
-        if let Some(l) = &lsh {
-            advance(l, "lsh")?;
-        }
-        if cursor != body_end {
-            return Err(StoreError::Corrupt(format!(
-                "sections end at {cursor} but the body ends at {body_end}"
-            )));
-        }
-        Ok(SectionDir { strtab, index, lsh, tables })
-    }
-}
-
-/// One v3 directory entry: where the section lives plus the fold64 of its
+/// One directory entry: where the section lives plus the fold64 of its
 /// bytes, verified on the section's *first decode* rather than in one
 /// whole-file pass at open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,11 +191,14 @@ pub struct SectionEntry {
     pub checksum: u64,
 }
 
-/// The v3 section directory: the v2 offset table with a per-entry
-/// checksum, sealed by a **meta checksum** (fold64 of header‖directory)
-/// so a flipped offset or checksum is caught before any view is built.
-/// Unlike v2 there is no whole-file trailer and the body need not reach
-/// the end of the file — append-only delta frames may follow it.
+/// The section directory: where each body section lives, so a reader can
+/// address any table (or skip the LSH export entirely) without
+/// sequentially decoding everything before it. Each entry carries its
+/// section's checksum and the whole is sealed by a **meta checksum**
+/// (fold64 of header‖directory), so a flipped offset or checksum is caught
+/// before any view is built. There is no whole-file trailer and the body
+/// need not reach the end of the file — append-only delta frames may
+/// follow it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionDirV3 {
     /// The shared string table (checksum verified at open — the strtab is
@@ -372,11 +245,15 @@ impl SectionDirV3 {
         w.put_u64(meta);
     }
 
-    /// Decode and validate a v3 directory from `bytes` (the whole file).
-    /// Verifies the meta checksum over header‖directory, then applies the
-    /// same contiguous-tiling rule as v2 — except the body ends wherever
-    /// the last section does, not at the end of the file: the returned
-    /// `usize` is that body end, i.e. where delta frames begin.
+    /// Decode and validate the directory from `bytes` (the whole file).
+    /// Verifies the meta checksum over header‖directory, then checks every
+    /// offset before any view is built: sections must tile the body
+    /// **contiguously in body order** (strtab, tables, index, then LSH)
+    /// from the byte after the directory, so corrupt offsets surface as a
+    /// structured error here, never as a panicking slice downstream. The
+    /// body ends wherever the last section does, not at the end of the
+    /// file: the returned `usize` is that body end, i.e. where delta
+    /// frames begin.
     pub fn decode(
         bytes: &[u8],
         n_tables: usize,
@@ -508,14 +385,17 @@ mod tests {
         bytes[0] = b'X';
         assert!(matches!(SnapshotHeader::decode(&bytes), Err(StoreError::Corrupt(_))));
 
-        let mut w = BinWriter::new();
-        let mut h = sample();
-        h.version = 99;
-        h.encode(&mut w);
-        assert!(matches!(
-            SnapshotHeader::decode(w.as_bytes()),
-            Err(StoreError::Version { found: 99, .. })
-        ));
+        // Retired generations are rejected like unknown future ones.
+        for version in [1, 2, 99] {
+            let mut w = BinWriter::new();
+            let mut h = sample();
+            h.version = version;
+            h.encode(&mut w);
+            assert!(matches!(
+                SnapshotHeader::decode(w.as_bytes()),
+                Err(StoreError::Version { found, supported: 3 }) if found == version
+            ));
+        }
     }
 
     #[test]

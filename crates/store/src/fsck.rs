@@ -1,6 +1,6 @@
 //! Offline integrity checking and repair for GENTLAKE snapshots.
 //!
-//! [`fsck`] walks a snapshot the way a paranoid open would — header, v3
+//! [`fsck`] walks a snapshot the way a paranoid open would — header,
 //! directory meta checksum, every section checksum, every delta frame —
 //! and reports *all* problems instead of stopping at the first. It never
 //! decodes cells, so it runs in O(file) fold64 time regardless of how
@@ -11,19 +11,14 @@
 //! base atomically. Quarantined tables persist as empty placeholders so
 //! table indices — and therefore the inverted index's postings — stay
 //! stable; their data is gone, which is exactly what the checksums said.
-//!
-//! Pre-v3 files get the only check their format supports: the whole-file
-//! checksum.
 
 use std::fs;
 use std::path::Path;
 
-use gent_table::binary::{decode_table_preamble, fold64, BinReader};
+use gent_table::binary::{decode_table_preamble, BinReader};
 
 use crate::error::StoreError;
-use crate::format::{
-    verify_section, SectionDirV3, SnapshotHeader, HEADER_LEN, SNAPSHOT_FORMAT_VERSION, TRAILER_LEN,
-};
+use crate::format::{verify_section, SectionDirV3, SnapshotHeader};
 use crate::snapshot::QuarantinedTable;
 
 /// One thing wrong with the file, located as precisely as the walk can.
@@ -40,11 +35,12 @@ pub struct FsckProblem {
 #[derive(Debug, Clone)]
 pub struct FsckReport {
     /// Format version from the header (0 when the header itself is
-    /// unreadable).
+    /// unreadable — which includes every version this build does not
+    /// read).
     pub version: u16,
     /// Base tables promised by the header.
     pub n_tables: usize,
-    /// Committed delta frames after the body (v3 only).
+    /// Committed delta frames after the body.
     pub n_frames: usize,
     /// Whether an uncommitted (torn) tail frame follows the committed
     /// log. Not a problem — it is the expected shape of a crash mid-append
@@ -83,25 +79,6 @@ pub fn fsck(path: &Path) -> Result<FsckReport, StoreError> {
     };
     report.version = header.version;
     report.n_tables = header.n_tables as usize;
-    if header.version != SNAPSHOT_FORMAT_VERSION {
-        // v1/v2: one whole-file checksum is all the format offers.
-        if bytes.len() < HEADER_LEN + TRAILER_LEN {
-            problem(&mut report.problems, "trailer", "file too short for a checksum trailer");
-            return Ok(report);
-        }
-        let body = &bytes[..bytes.len() - TRAILER_LEN];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - TRAILER_LEN..].try_into().unwrap());
-        let computed = fold64(body);
-        if stored != computed {
-            problem(
-                &mut report.problems,
-                "whole-file checksum",
-                format!("stored {stored:#018x}, computed {computed:#018x}"),
-            );
-        }
-        return Ok(report);
-    }
-
     let (dir, body_end) = match SectionDirV3::decode(&bytes, report.n_tables, header.has_lsh()) {
         Ok(d) => d,
         Err(e) => {

@@ -52,8 +52,7 @@ pub(crate) mod telemetry;
 pub use delta::{append_tables, compact, frame_count, AppendOutcome};
 pub use error::StoreError;
 pub use format::{
-    SectionDir, SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, SNAPSHOT_FORMAT_V2,
-    SNAPSHOT_FORMAT_VERSION,
+    SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, SNAPSHOT_FORMAT_VERSION,
 };
 pub use fsck::{fsck, fsck_repair, FsckProblem, FsckReport};
 pub use ingest::{ingest_tables, IngestOptions, IngestedLake};

@@ -2,16 +2,17 @@
 //!
 //! A snapshot persists a [`DataLake`] *together with its derived
 //! structures* — the inverted value index and, optionally, the LSH Ensemble
-//! index. Since format v2 the open path is **zero-copy and lazy**: [`load`]
-//! reads the file once into a shared [`LakeBuf`], verifies the whole-file
-//! checksum, and then builds *views* instead of copies — the
-//! [`FrozenIndex`] arrays are anchored directly in the buffer, each table
-//! becomes a lazy [`TableSlot`] whose cells decode on first touch, and the
-//! LSH export stays undecoded until someone asks for it
-//! ([`LshSlot::force`]). Opening a lake therefore costs one sequential
-//! read + checksum pass + per-table preamble decode, independent of how
-//! many cells the lake holds; a reclaim touching three tables decodes
-//! three. [`DataLake::decode_all`] restores the old eager behavior.
+//! index. The open path is **zero-copy and lazy**: [`load`] reads the file
+//! once into a shared [`LakeBuf`], verifies the directory's meta checksum,
+//! and then builds *views* instead of copies — the [`FrozenIndex`] arrays
+//! are anchored directly in the buffer on the first posting lookup, each
+//! table becomes a lazy [`TableSlot`] whose cells decode on first touch,
+//! and the LSH export stays undecoded until someone asks for it
+//! ([`LshSlot::force`]); every deferred section verifies its own checksum
+//! when it is first decoded. Opening a lake therefore costs one sequential
+//! read + per-table preamble decode, independent of how many cells the
+//! lake holds; a reclaim touching three tables decodes three.
+//! [`DataLake::decode_all`] restores the old eager behavior.
 //! Reopened lakes answer every retrieval query identically to the lake
 //! they were saved from (see `tests/snapshot_roundtrip.rs` and
 //! `tests/lazy_open.rs` at the workspace root).
@@ -32,13 +33,12 @@ use gent_table::binary::{
     TableSlot,
 };
 use gent_table::view::{ByteView, LakeBuf, LeWord, WordView};
-use gent_table::{FxHashMap, Table, Value};
+use gent_table::{FxHashMap, FxHashSet, Table, Value};
 
 use crate::error::StoreError;
 use crate::format::{
-    verify_section, SectionDir, SectionDirV3, SectionEntry, SectionRange, SnapshotHeader,
-    FLAG_HAS_LSH, HEADER_LEN, SNAPSHOT_FORMAT_V1, SNAPSHOT_FORMAT_V2, SNAPSHOT_FORMAT_VERSION,
-    TRAILER_LEN,
+    verify_section, SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, FLAG_HAS_LSH,
+    HEADER_LEN, SNAPSHOT_FORMAT_VERSION,
 };
 
 /// A table the degraded open replaced with an empty placeholder because
@@ -59,16 +59,16 @@ pub struct QuarantinedTable {
 /// for the LSH index when the snapshot carries one.
 #[derive(Debug, Clone)]
 pub struct LoadedLake {
-    /// The lake, ready for discovery (index already served from the
-    /// snapshot buffer; tables decode lazily for v2+ snapshots).
+    /// The lake, ready for discovery (index served from the snapshot
+    /// buffer; tables decode lazily).
     pub lake: DataLake,
-    /// The LSH index slot: present-but-undecoded for v2+ snapshots with
-    /// bands, eager for in-memory builds and v1 snapshots.
+    /// The LSH index slot: present-but-undecoded for snapshots with bands,
+    /// eager for in-memory builds.
     pub lsh: LshSlot,
     /// Tables the degraded open quarantined (always empty for a normal
     /// open, which errors instead).
     pub quarantined: Vec<QuarantinedTable>,
-    /// Committed delta frames folded into this lake's overlay (v3 only).
+    /// Committed delta frames folded into this lake's overlay.
     pub n_frames: usize,
 }
 
@@ -89,10 +89,9 @@ impl LoadedLake {
 /// and [`LshSlot::force`] memoizes the real decode.
 #[derive(Debug, Clone)]
 pub struct LshSlot {
-    lazy: Option<(LakeBuf, Range<usize>)>,
-    /// v3 deferred integrity: the section's expected fold64, verified
-    /// before the first decode (v2 verified the whole file at open).
-    checksum: Option<u64>,
+    /// The band section and its expected fold64, verified before the
+    /// first decode; `None` for an eager slot.
+    lazy: Option<(LakeBuf, Range<usize>, u64)>,
     n_columns: u32,
     cell: OnceLock<Result<Option<LshEnsembleIndex>, String>>,
 }
@@ -101,25 +100,16 @@ impl LshSlot {
     /// Wrap an already-built (or absent) index.
     pub fn eager(lsh: Option<LshEnsembleIndex>) -> Self {
         let n_columns = lsh.as_ref().map_or(0, |l| l.n_columns() as u32);
-        let slot = LshSlot { lazy: None, checksum: None, n_columns, cell: OnceLock::new() };
+        let slot = LshSlot { lazy: None, n_columns, cell: OnceLock::new() };
         let _ = slot.cell.set(Ok(lsh));
         slot
     }
 
-    /// A lazy slot over the band section of an opened snapshot.
-    fn lazy(buf: LakeBuf, range: Range<usize>, n_columns: u32) -> Self {
-        LshSlot { lazy: Some((buf, range)), checksum: None, n_columns, cell: OnceLock::new() }
-    }
-
-    /// A lazy slot that verifies `checksum` over its section before the
-    /// first decode (the v3 per-section contract).
+    /// A lazy slot over the band section of an opened snapshot, verifying
+    /// `checksum` over it before the first decode (the per-section
+    /// contract).
     fn lazy_checked(buf: LakeBuf, range: Range<usize>, n_columns: u32, checksum: u64) -> Self {
-        LshSlot {
-            lazy: Some((buf, range)),
-            checksum: Some(checksum),
-            n_columns,
-            cell: OnceLock::new(),
-        }
+        LshSlot { lazy: Some((buf, range, checksum)), n_columns, cell: OnceLock::new() }
     }
 
     /// Columns summarised by the bands (0 when absent) — available without
@@ -146,17 +136,15 @@ impl LshSlot {
     }
 
     fn decode(&self) -> Result<Option<LshEnsembleIndex>, String> {
-        let Some((buf, range)) = &self.lazy else {
+        let Some((buf, range, stored)) = &self.lazy else {
             return Ok(None); // eager slot: cell was pre-set, not reachable
         };
-        if let Some(stored) = self.checksum {
-            let computed = fold64(buf.slice(range.clone()));
-            if computed != stored {
-                return Err(format!(
-                    "LSH section checksum mismatch: stored {stored:#018x}, \
-                     computed {computed:#018x}"
-                ));
-            }
+        let computed = fold64(buf.slice(range.clone()));
+        if computed != *stored {
+            return Err(format!(
+                "LSH section checksum mismatch: stored {stored:#018x}, \
+                 computed {computed:#018x}"
+            ));
         }
         crate::telemetry::instruments().lsh_decodes.inc();
         let mut r = BinReader::new(buf.slice(range.clone()));
@@ -185,82 +173,6 @@ pub struct SnapshotStat {
     pub file_bytes: u64,
 }
 
-/// The body sections of a snapshot, encoded but not yet framed: the
-/// version-independent middle of both writers.
-struct EncodedBody {
-    header: SnapshotHeader,
-    strtab: Vec<u8>,
-    tables: Vec<Vec<u8>>,
-    index: Vec<u8>,
-    lsh: Option<Vec<u8>>,
-}
-
-fn encode_body(
-    lake: &DataLake,
-    lsh: Option<&LshEnsembleIndex>,
-    version: u16,
-) -> Result<EncodedBody, StoreError> {
-    // A lazily-opened lake materializes every remaining slot up front so
-    // any (checksum-defeating) cell corruption surfaces as an error here
-    // rather than a panic mid-encode; a deferred index likewise, so the
-    // header's distinct-value count is exact and the re-freeze below
-    // cannot trip on unverified bytes.
-    lake.decode_all(1)?;
-    lake.ensure_index().map_err(StoreError::Corrupt)?;
-    let lsh_export = lsh.map(|i| i.export());
-    let header = SnapshotHeader {
-        version,
-        flags: if lsh_export.is_some() { FLAG_HAS_LSH } else { 0 },
-        n_tables: lake.len() as u32,
-        total_rows: lake.slots().iter().map(|s| s.n_rows() as u64).sum(),
-        total_cols: lake.slots().iter().map(|s| s.n_cols() as u64).sum(),
-        n_index_entries: lake.index_len() as u64,
-        n_lsh_columns: lsh_export.as_ref().map_or(0, |e| e.columns.len() as u32),
-    };
-
-    // Tables are encoded before the string table they fill is serialized
-    // (decode needs the strings before the first cell).
-    let mut strings = StringTableBuilder::new();
-    let mut tables = Vec::with_capacity(lake.len());
-    for t in lake.tables_iter() {
-        let mut w = BinWriter::new();
-        encode_table_columnar(t, &mut w, &mut strings);
-        tables.push(w.into_bytes());
-    }
-    let mut strtab = BinWriter::new();
-    strings.encode(&mut strtab);
-
-    // The index is persisted in its serving layout (FrozenIndex arrays);
-    // freezing sorts entries canonically, so identical lakes → identical
-    // bytes regardless of hash-map iteration order. An already-frozen lake
-    // (one loaded from a snapshot) serializes its buffer-backed arrays with
-    // bulk copies — no re-encode.
-    let frozen_built;
-    let frozen = match lake.frozen_index() {
-        Some(f) => f,
-        None => {
-            frozen_built = lake.freeze_index();
-            &frozen_built
-        }
-    };
-    let mut index = BinWriter::new();
-    frozen.encode(&mut index);
-
-    let lsh_bytes = lsh_export.as_ref().map(|e| {
-        let mut w = BinWriter::new();
-        encode_lsh(e, &mut w);
-        w.into_bytes()
-    });
-
-    Ok(EncodedBody {
-        header,
-        strtab: strtab.into_bytes(),
-        tables,
-        index: index.into_bytes(),
-        lsh: lsh_bytes,
-    })
-}
-
 /// Serialize `lake` (and optionally a built LSH index) to `path` in the
 /// current (v3) format: per-section checksums in the directory, no
 /// whole-file trailer, no delta frames (a freshly saved base is compact
@@ -287,13 +199,65 @@ pub fn save(
     lake: &DataLake,
     lsh: Option<&LshEnsembleIndex>,
 ) -> Result<(), StoreError> {
-    let body = encode_body(lake, lsh, SNAPSHOT_FORMAT_VERSION)?;
+    // A lazily-opened lake materializes every remaining slot up front so
+    // any (checksum-defeating) cell corruption surfaces as an error here
+    // rather than a panic mid-encode; a deferred index likewise, so the
+    // header's distinct-value count is exact and the re-freeze below
+    // cannot trip on unverified bytes.
+    lake.decode_all(1)?;
+    lake.ensure_index().map_err(StoreError::Corrupt)?;
+    let lsh_export = lsh.map(|i| i.export());
+    let header = SnapshotHeader {
+        version: SNAPSHOT_FORMAT_VERSION,
+        flags: if lsh_export.is_some() { FLAG_HAS_LSH } else { 0 },
+        n_tables: lake.len() as u32,
+        total_rows: lake.slots().iter().map(|s| s.n_rows() as u64).sum(),
+        total_cols: lake.slots().iter().map(|s| s.n_cols() as u64).sum(),
+        n_index_entries: lake.index_len() as u64,
+        n_lsh_columns: lsh_export.as_ref().map_or(0, |e| e.columns.len() as u32),
+    };
+
+    // Tables are encoded before the string table they fill is serialized
+    // (decode needs the strings before the first cell).
+    let mut strings = StringTableBuilder::new();
+    let mut tables = Vec::with_capacity(lake.len());
+    for t in lake.tables_iter() {
+        let mut w = BinWriter::new();
+        encode_table_columnar(t, &mut w, &mut strings);
+        tables.push(w.into_bytes());
+    }
+    let mut strtab = BinWriter::new();
+    strings.encode(&mut strtab);
+    let strtab = strtab.into_bytes();
+
+    // The index is persisted in its serving layout (FrozenIndex arrays);
+    // freezing sorts entries canonically, so identical lakes → identical
+    // bytes regardless of hash-map iteration order. An already-frozen lake
+    // (one loaded from a snapshot) serializes its buffer-backed arrays with
+    // bulk copies — no re-encode.
+    let frozen_built;
+    let frozen = match lake.frozen_index() {
+        Some(f) => f,
+        None => {
+            frozen_built = lake.freeze_index();
+            &frozen_built
+        }
+    };
+    let mut index = BinWriter::new();
+    frozen.encode(&mut index);
+    let index = index.into_bytes();
+
+    let lsh_bytes = lsh_export.as_ref().map(|e| {
+        let mut w = BinWriter::new();
+        encode_lsh(e, &mut w);
+        w.into_bytes()
+    });
 
     let mut w = BinWriter::new();
-    body.header.encode(&mut w);
+    header.encode(&mut w);
     // Section directory: absolute offsets, contiguous, in body order,
     // each entry carrying the fold64 of its section.
-    let mut offset = (HEADER_LEN + SectionDirV3::encoded_len(body.tables.len())) as u64;
+    let mut offset = (HEADER_LEN + SectionDirV3::encoded_len(tables.len())) as u64;
     let mut claim = |section: &[u8]| {
         let e = SectionEntry {
             range: SectionRange { offset, len: section.len() as u64 },
@@ -303,84 +267,20 @@ pub fn save(
         e
     };
     let dir = SectionDirV3 {
-        strtab: claim(&body.strtab),
-        tables: body.tables.iter().map(|t| claim(t)).collect(),
-        index: claim(&body.index),
-        lsh: body.lsh.as_deref().map(&mut claim),
+        strtab: claim(&strtab),
+        tables: tables.iter().map(|t| claim(t)).collect(),
+        index: claim(&index),
+        lsh: lsh_bytes.as_deref().map(&mut claim),
     };
     dir.encode(&mut w); // seals header‖dir with the meta checksum
-    w.put_raw(&body.strtab);
-    for t in &body.tables {
+    w.put_raw(&strtab);
+    for t in &tables {
         w.put_raw(t);
     }
-    w.put_raw(&body.index);
-    if let Some(l) = &body.lsh {
+    w.put_raw(&index);
+    if let Some(l) = &lsh_bytes {
         w.put_raw(l);
     }
-    write_atomic(path, w.as_bytes())
-}
-
-/// Serialize in the **v2 layout** (section directory without per-section
-/// checksums, one whole-file trailing fold64). Kept so v2 back-compat is
-/// a tested fact and so the `snapshot_open_v3` bench can measure exactly
-/// what the per-section checksums buy; production writes use [`save`].
-pub fn save_v2(
-    path: &Path,
-    lake: &DataLake,
-    lsh: Option<&LshEnsembleIndex>,
-) -> Result<(), StoreError> {
-    let body = encode_body(lake, lsh, SNAPSHOT_FORMAT_V2)?;
-
-    let mut w = BinWriter::new();
-    body.header.encode(&mut w);
-    // Section directory: absolute offsets, contiguous, in body order.
-    let mut offset = (HEADER_LEN + SectionDir::encoded_len(body.tables.len())) as u64;
-    let mut claim = |len: usize| {
-        let s = SectionRange { offset, len: len as u64 };
-        offset += len as u64;
-        s
-    };
-    let dir = SectionDir {
-        strtab: claim(body.strtab.len()),
-        tables: body.tables.iter().map(|t| claim(t.len())).collect(),
-        index: claim(body.index.len()),
-        lsh: body.lsh.as_ref().map(|l| claim(l.len())),
-    };
-    dir.encode(&mut w);
-    w.put_raw(&body.strtab);
-    for t in &body.tables {
-        w.put_raw(t);
-    }
-    w.put_raw(&body.index);
-    if let Some(l) = &body.lsh {
-        w.put_raw(l);
-    }
-    let checksum = fold64(w.as_bytes());
-    w.put_u64(checksum);
-    write_atomic(path, w.as_bytes())
-}
-
-/// Serialize in the **legacy v1 layout** (no section directory, eager-only
-/// decode). Kept so the v1 reader's back-compatibility is a tested fact
-/// rather than a claim; production writes always use [`save`].
-pub fn save_legacy_v1(
-    path: &Path,
-    lake: &DataLake,
-    lsh: Option<&LshEnsembleIndex>,
-) -> Result<(), StoreError> {
-    let body = encode_body(lake, lsh, SNAPSHOT_FORMAT_V1)?;
-    let mut w = BinWriter::new();
-    body.header.encode(&mut w);
-    w.put_raw(&body.strtab);
-    for t in &body.tables {
-        w.put_raw(t);
-    }
-    w.put_raw(&body.index);
-    if let Some(l) = &body.lsh {
-        w.put_raw(l);
-    }
-    let checksum = fold64(w.as_bytes());
-    w.put_u64(checksum);
     write_atomic(path, w.as_bytes())
 }
 
@@ -435,11 +335,10 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Load a snapshot written by [`save`] (or a legacy v1/v2 file). v3 files
-/// verify the directory's meta checksum plus the strtab and index section
-/// checksums (sections the open decodes anyway) and defer table/LSH
-/// verification to first decode; v1/v2 files verify their whole-file
-/// checksum as they always did.
+/// Load a snapshot written by [`save`]: verify the directory's meta
+/// checksum and the strtab section (decoded here anyway), and defer table,
+/// index and LSH verification to each section's first decode. A file of
+/// any other format version answers [`StoreError::Version`].
 pub fn load(path: &Path) -> Result<LoadedLake, StoreError> {
     load_with(path, false)
 }
@@ -479,47 +378,20 @@ fn load_buf_with(buf: LakeBuf, degraded: bool) -> Result<LoadedLake, StoreError>
     let _span = gent_obs::span_timed("snapshot_open", ins.open_duration.clone());
     ins.opens.inc();
     ins.open_bytes.add(buf.len() as u64);
-    let bytes = buf.as_slice();
-    if bytes.len() < HEADER_LEN {
-        return Err(StoreError::Corrupt(format!(
-            "file is {} bytes — too short for a snapshot",
-            bytes.len()
-        )));
-    }
-    let header = SnapshotHeader::decode(bytes)?;
-    if header.version == SNAPSHOT_FORMAT_VERSION {
-        return load_v3(buf, &header, degraded);
-    }
-    // v1/v2: one whole-file checksum ahead of the trailer.
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(StoreError::Corrupt(format!(
-            "file is {} bytes — too short for a snapshot",
-            bytes.len()
-        )));
-    }
-    let body_end = bytes.len() - TRAILER_LEN;
-    let mut tail = BinReader::new(&bytes[body_end..]);
-    let stored = tail.get_u64().expect("trailer length checked");
-    let computed = fold64(&bytes[..body_end]);
-    if stored != computed {
-        return Err(StoreError::Corrupt(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    match header.version {
-        SNAPSHOT_FORMAT_V1 => load_v1(&buf, &header),
-        SNAPSHOT_FORMAT_V2 => load_v2(buf, &header),
-        v => Err(StoreError::Version { found: v, supported: SNAPSHOT_FORMAT_VERSION }),
-    }
+    // The header decode rejects short files and every version but the
+    // current one.
+    let header = SnapshotHeader::decode(buf.as_slice())?;
+    load_v3(buf, &header, degraded)
 }
 
-/// The v3 open: like [`load_v2`] but *without* the O(file) checksum pass.
-/// The directory's meta checksum plus the strtab and index section
-/// checksums are verified here (those sections are decoded eagerly
-/// anyway); each table and the LSH bands are verified on their first
-/// decode. Delta frames after the body are scanned, checksum-verified
-/// (they are small), and folded into the lake as an index overlay; a torn
-/// tail frame is dropped with a structured warning.
+/// The open: build views into `buf`, decode only preambles, defer
+/// everything else — no O(file) checksum pass. The directory's meta
+/// checksum and the strtab section are verified here (the strtab is
+/// decoded eagerly anyway); each table, the index and the LSH bands are
+/// verified on their first decode. Delta frames after the body are
+/// scanned, checksum-verified (they are small), and folded into the lake
+/// as an index overlay; a torn tail frame is dropped with a structured
+/// warning.
 fn load_v3(
     buf: LakeBuf,
     header: &SnapshotHeader,
@@ -678,44 +550,45 @@ fn load_v3(
     };
     let n_frames = scan.frames.len();
 
-    // Index, strict open: nothing is verified or materialized here. The
+    // Index: nothing is verified or materialized by a strict open. The
     // directory entry carries the section's own fold64, so the first
     // posting lookup (or an explicit [`DataLake::ensure_index`]) verifies
     // the bytes, anchors the views zero-copy and zips the posting arena
-    // *then* — open cost stops scaling with index bytes, which is the
-    // point of v3.
-    if !degraded {
-        debug_assert!(quarantined.is_empty(), "strict opens never quarantine");
-        let n_cols: Vec<u16> = slots.iter().map(|s| s.n_cols() as u16).collect();
-        let entry = dir.index;
-        let n_entries = header.n_index_entries;
-        let thaw_buf = buf.clone();
-        let thaw: IndexThaw = Arc::new(move || {
-            let err = |e: StoreError| e.to_string();
-            verify_section(thaw_buf.as_slice(), &entry, "index").map_err(err)?;
-            let raw = decode_index_views(&thaw_buf, &entry, n_entries).map_err(err)?;
-            let arena =
-                build_arena(&raw.arena_tables, &raw.arena_cols, |ti| n_cols.get(ti).copied())
-                    .map_err(err)?;
-            FrozenIndex::from_views(
-                raw.buckets,
-                raw.hashes,
-                raw.value_offsets,
-                raw.blob,
-                raw.posting_offsets,
-                arena,
-            )
-        });
-        let lake =
-            DataLake::from_slots_deferred(slots, thaw, header.n_index_entries as usize, delta);
-        return Ok(LoadedLake { lake, lsh, quarantined, n_frames });
+    // *then* — open cost does not scale with index bytes. A degraded open
+    // runs the same thaw now: the repair path wants index damage surfaced
+    // immediately (there is no lake to degrade to without an index).
+    debug_assert!(degraded || quarantined.is_empty(), "strict opens never quarantine");
+    let n_cols: Vec<u16> = slots.iter().map(|s| s.n_cols() as u16).collect();
+    let bad: FxHashSet<u32> = quarantined.iter().map(|q| q.table as u32).collect();
+    let entry = dir.index;
+    let n_entries = header.n_index_entries;
+    let thaw_buf = buf.clone();
+    let thaw: IndexThaw = Arc::new(move || {
+        thaw_index(&thaw_buf, &entry, n_entries, &n_cols, &bad).map_err(|e| match e {
+            StoreError::Corrupt(reason) => reason,
+            e => e.to_string(),
+        })
+    });
+    let lake = DataLake::from_slots_deferred(slots, thaw, n_entries as usize, delta);
+    if degraded {
+        lake.ensure_index().map_err(StoreError::Corrupt)?;
     }
+    Ok(LoadedLake { lake, lsh, quarantined, n_frames })
+}
 
-    // Degraded open: materialized (and verified) now — quarantined
-    // postings must be filtered out, and the repair path wants index
-    // damage surfaced immediately (there is no lake to degrade to without
-    // an index).
-    verify_section(buf.as_slice(), &dir.index, "index")?;
+/// Verify the index section and materialize its [`FrozenIndex`] — what the
+/// lake's thaw closure runs on the first posting lookup. `n_cols` is the
+/// column count of every slot (base and frame); postings of the tables in
+/// `bad` (quarantined by a degraded open) are dropped so those tables are
+/// not discoverable.
+fn thaw_index(
+    buf: &LakeBuf,
+    entry: &SectionEntry,
+    n_entries: u64,
+    n_cols: &[u16],
+    bad: &FxHashSet<u32>,
+) -> Result<FrozenIndex, StoreError> {
+    verify_section(buf.as_slice(), entry, "index")?;
     let IndexViews {
         buckets,
         hashes,
@@ -724,69 +597,65 @@ fn load_v3(
         posting_offsets,
         arena_tables,
         arena_cols,
-    } = decode_index_views(&buf, &dir.index, header.n_index_entries)?;
-    let frozen = if quarantined.is_empty() {
-        let arena =
-            build_arena(&arena_tables, &arena_cols, |ti| slots.get(ti).map(|s| s.n_cols() as u16))?;
-        FrozenIndex::from_views(buckets, hashes, value_offsets, blob, posting_offsets, arena)
-            .map_err(StoreError::Corrupt)?
-    } else {
-        // Quarantined tables must not be discoverable: drop their postings
-        // and rebuild the offsets (owned — the degraded open trades the
-        // zero-copy arena for a consistent index).
-        let bad: std::collections::HashSet<u32> =
-            quarantined.iter().map(|q| q.table as u32).collect();
-        let n = hashes.len();
-        if posting_offsets.len() != n + 1
-            || posting_offsets.get(n) as usize != arena_tables.len()
-            || arena_tables.len() != arena_cols.len()
-        {
-            return Err(StoreError::Corrupt("posting offsets do not span the arena".into()));
-        }
-        let mut new_offsets = Vec::with_capacity(n + 1);
-        let mut arena = Vec::with_capacity(arena_tables.len());
-        new_offsets.push(0u32);
-        for i in 0..n {
-            let (start, end) =
-                (posting_offsets.get(i) as usize, posting_offsets.get(i + 1) as usize);
-            if start > end || end > arena_tables.len() {
-                return Err(StoreError::Corrupt("posting offsets not monotone".into()));
-            }
-            for j in start..end {
-                let (table, column) = (arena_tables[j], arena_cols[j]);
-                if bad.contains(&table) {
-                    continue;
-                }
-                match slots.get(table as usize).map(|s| s.n_cols() as u16) {
-                    Some(nc) if column < nc => arena.push(Posting { table, column }),
-                    _ => {
-                        return Err(StoreError::Corrupt(format!(
-                            "posting references column {column} of table {table}"
-                        )))
-                    }
-                }
-            }
-            new_offsets.push(arena.len() as u32);
-        }
-        FrozenIndex::from_raw_parts(
-            buckets.to_vec(),
-            hashes.to_vec(),
-            value_offsets.to_vec(),
-            blob.to_vec(),
-            new_offsets,
+    } = decode_index_views(buf, entry, n_entries)?;
+    if bad.is_empty() {
+        let arena = build_arena(&arena_tables, &arena_cols, n_cols)?;
+        return FrozenIndex::from_views(
+            buckets,
+            hashes,
+            value_offsets,
+            blob,
+            posting_offsets,
             arena,
         )
-        .map_err(StoreError::Corrupt)?
-    };
-
-    let lake = DataLake::from_slots_with_delta(slots, frozen, delta);
-    Ok(LoadedLake { lake, lsh, quarantined, n_frames })
+        .map_err(StoreError::Corrupt);
+    }
+    // Rebuild the offsets around the dropped postings (owned — this trades
+    // the zero-copy arena for a consistent index).
+    let n = hashes.len();
+    if posting_offsets.len() != n + 1
+        || posting_offsets.get(n) as usize != arena_tables.len()
+        || arena_tables.len() != arena_cols.len()
+    {
+        return Err(StoreError::Corrupt("posting offsets do not span the arena".into()));
+    }
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    let mut arena = Vec::with_capacity(arena_tables.len());
+    new_offsets.push(0u32);
+    for i in 0..n {
+        let (start, end) = (posting_offsets.get(i) as usize, posting_offsets.get(i + 1) as usize);
+        if start > end || end > arena_tables.len() {
+            return Err(StoreError::Corrupt("posting offsets not monotone".into()));
+        }
+        for j in start..end {
+            let (table, column) = (arena_tables[j], arena_cols[j]);
+            if bad.contains(&table) {
+                continue;
+            }
+            match n_cols.get(table as usize) {
+                Some(&nc) if column < nc => arena.push(Posting { table, column }),
+                _ => {
+                    return Err(StoreError::Corrupt(format!(
+                        "posting references column {column} of table {table}"
+                    )))
+                }
+            }
+        }
+        new_offsets.push(arena.len() as u32);
+    }
+    FrozenIndex::from_raw_parts(
+        buckets.to_vec(),
+        hashes.to_vec(),
+        value_offsets.to_vec(),
+        blob.to_vec(),
+        new_offsets,
+        arena,
+    )
+    .map_err(StoreError::Corrupt)
 }
 
 /// The index section's raw parts: zero-copy views anchored in the
 /// snapshot buffer plus the copied struct-of-arrays posting encoding.
-/// Shared by the degraded (eager) open and the strict open's deferred
-/// thaw.
 struct IndexViews {
     buckets: WordView<u32>,
     hashes: WordView<u64>,
@@ -860,174 +729,12 @@ fn placeholder_slot(buf: &LakeBuf, range: Range<usize>, index: usize) -> (String
     (name.clone(), TableSlot::eager(table))
 }
 
-/// The zero-copy open: build views into `buf`, decode only preambles and
-/// the posting arena, defer everything else.
-fn load_v2(buf: LakeBuf, header: &SnapshotHeader) -> Result<LoadedLake, StoreError> {
-    let n_tables = header.n_tables as usize;
-    let dir_len = SectionDir::encoded_len(n_tables);
-    if (buf.len() as u64) < (HEADER_LEN + dir_len + TRAILER_LEN) as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "file is {} bytes — too short for a {n_tables}-table section directory",
-            buf.len()
-        )));
-    }
-    let mut dr = BinReader::new(buf.slice(HEADER_LEN..HEADER_LEN + dir_len));
-    let dir = SectionDir::decode(&mut dr, n_tables, header.has_lsh(), buf.len())?;
-
-    // String table: decoded eagerly (it is shared by every lazy slot and
-    // typically small relative to cell payloads).
-    let mut r = BinReader::new(buf.slice(dir.strtab.range()));
-    let strings: Arc<[Arc<str>]> = decode_string_table(&mut r)?.into();
-    if r.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after the string table",
-            r.remaining()
-        )));
-    }
-
-    // Tables: one lazy slot per directory entry; only the preamble (name,
-    // schema, row count) is decoded here.
-    let mut slots = Vec::with_capacity(n_tables);
-    for t in &dir.tables {
-        slots.push(TableSlot::lazy(buf.clone(), t.range(), strings.clone())?);
-    }
-    let (rows, cols) =
-        slots.iter().fold((0u64, 0u64), |(r, c), s| (r + s.n_rows() as u64, c + s.n_cols() as u64));
-    if rows != header.total_rows || cols != header.total_cols {
-        return Err(StoreError::Corrupt(format!(
-            "table preambles sum to {rows} rows / {cols} columns, header promised {} / {}",
-            header.total_rows, header.total_cols
-        )));
-    }
-
-    // Index: the open-addressing arrays stay in the buffer as views; only
-    // the posting arena (struct-of-arrays on disk, `&[Posting]` at runtime)
-    // is materialized — and validated against the slot schemas, which are
-    // known without decoding a single cell.
-    let base = dir.index.offset as usize;
-    let mut r = BinReader::new(buf.slice(dir.index.range()));
-    let buckets = read_view::<u32>(&mut r, &buf, base)?;
-    let hashes = read_view::<u64>(&mut r, &buf, base)?;
-    if hashes.len() as u64 != header.n_index_entries {
-        return Err(StoreError::Corrupt(format!(
-            "index has {} entries, header promised {}",
-            hashes.len(),
-            header.n_index_entries
-        )));
-    }
-    let value_offsets = read_view::<u32>(&mut r, &buf, base)?;
-    let blob_len = r.get_u64()? as usize;
-    let blob_start = base + r.position();
-    r.take(blob_len)?;
-    let blob = ByteView::view(buf.clone(), blob_start..blob_start + blob_len)
-        .map_err(StoreError::Corrupt)?;
-    let posting_offsets = read_view::<u32>(&mut r, &buf, base)?;
-    let arena_tables = r.get_u32_array()?;
-    let arena_cols = r.get_u16_array()?;
-    if r.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after the index section",
-            r.remaining()
-        )));
-    }
-    let arena =
-        build_arena(&arena_tables, &arena_cols, |ti| slots.get(ti).map(|s| s.n_cols() as u16))?;
-    let frozen =
-        FrozenIndex::from_views(buckets, hashes, value_offsets, blob, posting_offsets, arena)
-            .map_err(StoreError::Corrupt)?;
-
-    let lsh = match dir.lsh {
-        Some(section) => LshSlot::lazy(buf.clone(), section.range(), header.n_lsh_columns),
-        None => LshSlot::eager(None),
-    };
-
-    Ok(LoadedLake {
-        lake: DataLake::from_slots(slots, frozen),
-        lsh,
-        quarantined: Vec::new(),
-        n_frames: 0,
-    })
-}
-
-/// The legacy eager decoder for v1 files (no section directory: sections
-/// must be decoded sequentially, so everything materializes at open).
-fn load_v1(buf: &LakeBuf, header: &SnapshotHeader) -> Result<LoadedLake, StoreError> {
-    let bytes = buf.as_slice();
-    let body_end = bytes.len() - TRAILER_LEN;
-    let mut r = BinReader::new(&bytes[HEADER_LEN..body_end]);
-
-    let strings = decode_string_table(&mut r)?;
-    // Every count that sizes an allocation is sanity-checked against the
-    // bytes actually present, so a crafted header cannot force a huge
-    // `with_capacity` before per-entry reads fail.
-    if header.n_tables as usize > r.remaining() {
-        return Err(StoreError::Corrupt(format!(
-            "header claims {} tables with {} bytes left",
-            header.n_tables,
-            r.remaining()
-        )));
-    }
-    let mut tables = Vec::with_capacity(header.n_tables as usize);
-    for _ in 0..header.n_tables {
-        tables.push(gent_table::binary::decode_table_columnar(&mut r, &strings)?);
-    }
-
-    let buckets = r.get_u32_array()?;
-    let hashes = r.get_u64_array()?;
-    if hashes.len() as u64 != header.n_index_entries {
-        return Err(StoreError::Corrupt(format!(
-            "index has {} entries, header promised {}",
-            hashes.len(),
-            header.n_index_entries
-        )));
-    }
-    let value_offsets = r.get_u32_array()?;
-    let blob_len = r.get_u64()? as usize;
-    let blob = r.take(blob_len)?.to_vec();
-    let posting_offsets = r.get_u32_array()?;
-    let arena_tables = r.get_u32_array()?;
-    let arena_cols = r.get_u16_array()?;
-    let arena =
-        build_arena(&arena_tables, &arena_cols, |ti| tables.get(ti).map(|t| t.n_cols() as u16))?;
-    let frozen =
-        FrozenIndex::from_raw_parts(buckets, hashes, value_offsets, blob, posting_offsets, arena)
-            .map_err(StoreError::Corrupt)?;
-
-    let lsh = if header.has_lsh() {
-        let export = decode_lsh(&mut r)?;
-        if export.columns.len() as u32 != header.n_lsh_columns {
-            return Err(StoreError::Corrupt(format!(
-                "LSH section holds {} columns, header promised {}",
-                export.columns.len(),
-                header.n_lsh_columns
-            )));
-        }
-        Some(LshEnsembleIndex::from_export(export).map_err(StoreError::Corrupt)?)
-    } else {
-        None
-    };
-
-    if r.remaining() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing bytes after snapshot body",
-            r.remaining()
-        )));
-    }
-
-    Ok(LoadedLake {
-        lake: DataLake::from_frozen(tables, frozen),
-        lsh: LshSlot::eager(lsh),
-        quarantined: Vec::new(),
-        n_frames: 0,
-    })
-}
-
 /// Zip the struct-of-arrays posting encoding back into `Posting`s,
 /// validating every reference against the lake's (metadata-only) schema.
 fn build_arena(
     arena_tables: &[u32],
     arena_cols: &[u16],
-    n_cols_of: impl Fn(usize) -> Option<u16>,
+    n_cols: &[u16],
 ) -> Result<Vec<Posting>, StoreError> {
     if arena_tables.len() != arena_cols.len() {
         return Err(StoreError::Corrupt(format!(
@@ -1038,8 +745,8 @@ fn build_arena(
     }
     let mut arena = Vec::with_capacity(arena_tables.len());
     for (&table, &column) in arena_tables.iter().zip(arena_cols) {
-        match n_cols_of(table as usize) {
-            Some(nc) if column < nc => arena.push(Posting { table, column }),
+        match n_cols.get(table as usize) {
+            Some(&nc) if column < nc => arena.push(Posting { table, column }),
             Some(_) => {
                 return Err(StoreError::Corrupt(format!(
                     "posting references column {column} of table {table} (too few columns)"
@@ -1284,35 +991,6 @@ mod tests {
         assert_eq!(warm.export(), lsh.export());
     }
 
-    /// v1 files (no section directory) stay readable, and answer exactly
-    /// like the v2 open of the same lake.
-    #[test]
-    fn legacy_v1_snapshot_still_loads() {
-        let l = lake();
-        let lsh = LshEnsembleIndex::build(&l, LshConfig::default());
-        let p1 = scratch("legacy-v1.gentlake");
-        let p2 = scratch("current-v2.gentlake");
-        save_legacy_v1(&p1, &l, Some(&lsh)).unwrap();
-        save(&p2, &l, Some(&lsh)).unwrap();
-        let v1 = load(&p1).unwrap();
-        let v2 = load(&p2).unwrap();
-        assert_eq!(stat(&p1).unwrap().header.version, SNAPSHOT_FORMAT_V1);
-        // v1 decodes eagerly by construction.
-        assert_eq!(v1.lake.tables_decoded(), v1.lake.len());
-        assert_eq!(v1.lake.index_len(), v2.lake.index_len());
-        for probe in [V::Int(3), V::Int(1005), V::str("c7")] {
-            assert_eq!(v1.lake.postings(&probe), v2.lake.postings(&probe), "postings({probe})");
-        }
-        assert_eq!(
-            v1.lake.get_by_name("customers").unwrap().rows(),
-            v2.lake.get_by_name("customers").unwrap().rows()
-        );
-        assert_eq!(
-            v1.lsh.force().unwrap().unwrap().export(),
-            v2.lsh.force().unwrap().unwrap().export()
-        );
-    }
-
     /// Resaving a lazily-opened lake reproduces the file byte-for-byte:
     /// lazy decode is lossless and the buffer-backed index re-encodes via
     /// the bulk-copy path.
@@ -1341,7 +1019,7 @@ mod tests {
         assert_eq!(s.header.total_cols, 4);
         assert!(!s.header.has_lsh());
         assert_eq!(s.header.n_index_entries as usize, l.index_len());
-        assert!(s.file_bytes > (HEADER_LEN + TRAILER_LEN) as u64);
+        assert!(s.file_bytes > HEADER_LEN as u64);
     }
 
     #[test]

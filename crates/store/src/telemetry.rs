@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Every instrument the store records into, registered once.
 pub(crate) struct Instruments {
-    /// `gent_store_snapshot_opens_total` — snapshots opened (v1 + v2).
+    /// `gent_store_snapshot_opens_total` — snapshots opened.
     pub opens: Arc<Counter>,
     /// `gent_store_snapshot_open_bytes_total` — bytes read + checksummed
     /// across all opens.

@@ -1,11 +1,11 @@
-//! Hostile-snapshot hardening for the v3 open path: per-section checksums,
+//! Hostile-snapshot hardening for the open path: per-section checksums,
 //! delta frames, degraded (quarantining) opens, and fsck.
 //!
-//! The v3 contract sharpens the v2 one. Corruption is detected by the
-//! checksum *scoped to what it hit* — the directory's meta checksum, a
-//! section's entry checksum (at open for strtab/index, at first force for
-//! tables/LSH), or a frame's payload checksum — so these properties assert
-//! three things per injected corruption:
+//! Corruption is detected by the checksum *scoped to what it hit* — the
+//! directory's meta checksum, a section's entry checksum (at open for the
+//! strtab, at first force for tables/index/LSH), or a frame's payload
+//! checksum — so the bit-flip properties assert three things per injected
+//! corruption:
 //!
 //! * a **normal** open that forces everything returns a structured
 //!   [`StoreError`] — never a panic, never an out-of-bounds slice;
@@ -20,6 +20,18 @@
 //! byte-for-byte indistinguishable from a crash mid-append, so it is
 //! recovered as a torn tail (frame dropped, no error) — asserted
 //! separately.
+//!
+//! Checksums only stop accidents: fold64 is not keyed, so anyone who can
+//! write the file can recompute it. Slices of the snapshot buffer outlive
+//! decode — the frozen index arrays are served as views and table cells
+//! decode lazily — so a forged *offset* is more dangerous than a forged
+//! *cell*: unvalidated, it would build a view into the wrong bytes or out
+//! of bounds. The `*_never_panics` properties therefore **re-seal every
+//! checksum over their forgery**, so that directory / header / payload validation is
+//! all that stands between it and the views, and drive the file through
+//! every way a snapshot is opened ([`drive`]): a structured [`StoreError`]
+//! or a lake that still works — never a panic, never an out-of-bounds
+//! slice.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -28,6 +40,7 @@ use gent_discovery::{DataLake, LshConfig, LshEnsembleIndex};
 use gent_store::format::HEADER_LEN;
 use gent_store::snapshot::{self, LoadedLake};
 use gent_store::{fsck, SectionDirV3, SnapshotHeader, StoreError};
+use gent_table::binary::fold64;
 use gent_table::view::LakeBuf;
 use gent_table::{Table, Value as V};
 use proptest::prelude::*;
@@ -128,6 +141,75 @@ fn fsck_bytes(bytes: &[u8]) -> gent_store::FsckReport {
 
 fn flip(bytes: &mut [u8], pos: usize, bit: u8) {
     bytes[pos] ^= 1 << bit;
+}
+
+/// Byte offset of directory entry `entry` (0 = strtab, 1 = index, 2 = lsh,
+/// 3.. = tables) — three u64 words: offset, len, checksum.
+fn dir_entry_at(entry: usize) -> usize {
+    HEADER_LEN + entry * 24
+}
+
+fn write_u64(bytes: &mut [u8], at: usize, value: u64) {
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Recompute directory entry `entry`'s checksum over whatever range it now
+/// claims, so a forged offset or length is not given away by the bytes it
+/// lands on. A range outside the file cannot be sealed (and the reader
+/// rejects it on bounds).
+fn reseal_entry(bytes: &mut [u8], entry: usize) {
+    let at = dir_entry_at(entry);
+    let (offset, len) = (read_u64(bytes, at), read_u64(bytes, at + 8));
+    let end = offset.checked_add(len).filter(|&end| end <= bytes.len() as u64);
+    if let Some(end) = end {
+        let sum = fold64(&bytes[offset as usize..end as usize]);
+        write_u64(bytes, at + 16, sum);
+    }
+}
+
+/// Recompute the meta checksum where a reader will look for it — after the
+/// directory the (possibly forged) `n_tables` sizes. When that lies past
+/// the end of the file there is nothing to seal: the reader rejects the
+/// length first.
+fn reseal_meta(bytes: &mut [u8]) {
+    let n_tables = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let meta_end = n_tables
+        .checked_mul(24)
+        .and_then(|n| n.checked_add(HEADER_LEN + SectionDirV3::encoded_len(0)));
+    if let Some(meta_end) = meta_end.filter(|&end| end <= bytes.len()) {
+        let sum = fold64(&bytes[..meta_end - 8]);
+        write_u64(bytes, meta_end - 8, sum);
+    }
+}
+
+/// Drive a forged file through every way a snapshot is opened: strict open
+/// and degraded open (each forcing everything it deferred), `fsck`,
+/// `fsck_repair` and `compact`. Returns the strict result; a panic or an
+/// out-of-bounds slice in any of the five fails the test at the harness
+/// level.
+fn drive(bytes: &[u8]) -> Result<LoadedLake, StoreError> {
+    let strict = force_all(bytes.to_vec());
+    let _ = force_degraded(bytes.to_vec());
+    let path = std::env::temp_dir().join(format!(
+        "gent-hostile-v3-forged-{}-{:?}.gentlake",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    fsck(&path).expect("fsck is I/O-error-free on an existing file");
+    if gent_store::fsck_repair(&path).is_ok() {
+        let report = fsck(&path).unwrap();
+        assert!(report.is_clean(), "a repair that succeeds leaves a clean file: {report:?}");
+    }
+    std::fs::write(&path, bytes).unwrap();
+    let _ = gent_store::compact(&path);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("gentlake.tmp"));
+    strict
 }
 
 proptest! {
@@ -275,6 +357,120 @@ proptest! {
             prop_assert_eq!(loaded.lake.len(), expect, "committed prefix at {keep}");
             prop_assert!(loaded.quarantined.is_empty(), "a torn tail is not corruption");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Overwrite one directory word — a section's offset, length or
+    /// checksum — with an arbitrary value, re-seal the entry's checksum
+    /// over the range it now claims and then the meta checksum, so only the
+    /// directory validation (for a forged checksum word, the section's own
+    /// verification) stands between the forgery and an out-of-bounds view.
+    /// The contiguous-tiling rule means any change must be rejected by a
+    /// strict open.
+    #[test]
+    fn dir_entry_overwrite_never_panics(
+        entry in 0usize..6,    // strtab, index, lsh + 3 tables
+        field in 0usize..3,    // offset, len or checksum
+        value in proptest::prelude::any::<u64>(),
+    ) {
+        let mut bytes = victim().bytes.clone();
+        let at = dir_entry_at(entry) + field * 8;
+        let original = read_u64(&bytes, at);
+        prop_assume!(value != original);
+        write_u64(&mut bytes, at, value);
+        if field < 2 {
+            reseal_entry(&mut bytes, entry);
+        }
+        reseal_meta(&mut bytes);
+        prop_assert!(
+            drive(&bytes).is_err(),
+            "dir entry {entry} word {field} rewritten {original} → {value} went undetected"
+        );
+    }
+
+    /// Small structured perturbations of directory words — the off-by-a-few
+    /// forgeries that keep a section *almost* where it was — re-sealed.
+    #[test]
+    fn dir_entry_nudge_never_panics(
+        entry in 0usize..6,
+        field in 0usize..3,
+        delta in -32i64..=32,
+    ) {
+        prop_assume!(delta != 0);
+        let mut bytes = victim().bytes.clone();
+        let at = dir_entry_at(entry) + field * 8;
+        let nudged = read_u64(&bytes, at).wrapping_add(delta as u64);
+        write_u64(&mut bytes, at, nudged);
+        if field < 2 {
+            reseal_entry(&mut bytes, entry);
+        }
+        reseal_meta(&mut bytes);
+        prop_assert!(
+            drive(&bytes).is_err(),
+            "dir entry {entry} word {field} nudged by {delta} went undetected"
+        );
+    }
+
+    /// Forge the header words that *size* the directory and the index
+    /// (flags, n_tables, the totals, n_index_entries, n_lsh_columns) and
+    /// re-seal: a crafted header must not cause huge allocations,
+    /// wrong-sized directories, or panics, and a strict open rejects it.
+    #[test]
+    fn header_count_overwrite_never_panics(
+        field in 0usize..6,
+        value in proptest::prelude::any::<u32>(),
+    ) {
+        // (offset, width): flags, n_tables, and the low words of
+        // total_rows / total_cols / n_index_entries, then n_lsh_columns.
+        let (at, width) = [(10usize, 2usize), (12, 4), (16, 4), (24, 4), (32, 4), (40, 4)][field];
+        let mut bytes = victim().bytes.clone();
+        let forged = &value.to_le_bytes()[..width];
+        prop_assume!(&bytes[at..at + width] != forged);
+        bytes[at..at + width].copy_from_slice(forged);
+        reseal_meta(&mut bytes);
+        prop_assert!(
+            drive(&bytes).is_err(),
+            "header word at {at} rewritten to {value:#x} went undetected"
+        );
+    }
+
+    /// Flip a bit *inside* a base section or a frame payload and recompute
+    /// the checksum that covers it (the section's directory entry plus the
+    /// meta checksum, or the frame's own): lazy cell decode, view
+    /// validation, frame parsing or LSH decode must turn it into an error
+    /// or a benignly different value — never a panic. (Unlike offsets,
+    /// flipped payload bytes can decode to a different valid value, so
+    /// `Ok` is acceptable here; the assertion is the absence of panics and
+    /// out-of-bounds slices while everything is forced.)
+    #[test]
+    fn section_byte_flip_with_fixed_checksum_never_panics(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
+        let v = victim();
+        let mut bytes = v.bytes.clone();
+        let body_start = HEADER_LEN + SectionDirV3::encoded_len(3);
+        let pos = body_start + ((bytes.len() - body_start - 1) as f64 * pos_frac) as usize;
+        flip(&mut bytes, pos, bit);
+        let sections = [&v.dir.strtab, &v.dir.index, v.dir.lsh.as_ref().expect("victim has LSH")]
+            .into_iter()
+            .chain(&v.dir.tables);
+        for (entry, section) in sections.enumerate() {
+            if section.range.range().contains(&pos) {
+                let sum = fold64(&bytes[section.range.range()]);
+                write_u64(&mut bytes, dir_entry_at(entry) + 16, sum);
+            }
+        }
+        reseal_meta(&mut bytes);
+        for frame in &v.frames {
+            // magic (8) | payload_len (8) | payload | checksum (8) | commit (8)
+            let payload = frame.start + 16..frame.end - 16;
+            if payload.contains(&pos) {
+                let sum = fold64(&bytes[payload.clone()]);
+                write_u64(&mut bytes, payload.end, sum);
+            }
+        }
+        let _ = drive(&bytes);
     }
 }
 

@@ -144,10 +144,8 @@ fn sequential_and_parallel_ingest_snapshot_identically() {
 }
 
 /// Opening a snapshot must decisively beat rebuilding from CSV — that is
-/// the store's reason to exist. The full benchmark asserts ≥10×
-/// (`cargo bench -p gent-bench --bench snapshot`); here we assert a
-/// conservative ≥2× so CI noise cannot flake the suite, and print the
-/// observed ratio.
+/// the store's reason to exist. We assert a conservative ≥2× so CI noise
+/// cannot flake the suite, and print the observed ratio.
 #[test]
 fn snapshot_open_beats_csv_rebuild() {
     let s = Scratch::new("timing");

@@ -1,14 +1,21 @@
 //! Fidelity suite for the zero-copy snapshot open: across a datagen
 //! benchmark, reclaiming every case must produce **byte-identical** CSV and
-//! bit-identical EIS through four lake provenances —
+//! bit-identical EIS through every lake provenance the snapshot-backed
+//! index serves —
 //!
-//! * **cold**  — built in memory from the suite tables (no snapshot),
-//! * **lazy**  — v2 snapshot, tables decoded on first touch (the default),
-//! * **eager** — the same v2 snapshot after `decode_all` (old behavior),
-//! * **v1**    — a legacy v1 snapshot through the back-compat decoder —
+//! * **cold**      — built in memory from the suite tables (no snapshot),
+//! * **lazy**      — snapshot, tables decoded on first touch (the default),
+//! * **eager**     — the same snapshot after `decode_all` (old behavior),
+//! * **degraded**  — the same snapshot through `load_degraded`, which
+//!   hands the index over already thawed,
+//! * **framed**    — a base of the first half of the tables with the rest
+//!   appended as delta frames, so half the postings come from the overlay
+//!   (opened strict and degraded),
+//! * **compacted** — the framed file after `compact` folded the frames —
 //!
-//! and the lazy lake must actually *be* lazy: zero tables decoded at open,
-//! only the touched subset decoded after the full case sweep.
+//! and the lazy lake must actually *be* lazy: no table decoded and no
+//! index thawed at open, only the touched subset decoded after the full
+//! case sweep.
 
 use gen_t::core::{GenT, GenTConfig};
 use gen_t::datagen::suite::{build, BenchmarkId, SuiteConfig};
@@ -45,22 +52,48 @@ fn lazy_eager_v1_and_cold_reclaims_are_byte_identical() {
     .expect("disjoint table");
     let mut lake_tables = bench.lake_tables.clone();
     lake_tables.push(disjoint);
-    let cold = DataLake::from_tables(lake_tables);
+    let cold = DataLake::from_tables(lake_tables.clone());
 
-    let v2_path = scratch("fidelity-v2.gentlake");
-    let v1_path = scratch("fidelity-v1.gentlake");
-    snapshot::save(&v2_path, &cold, None).expect("save v2");
-    snapshot::save_legacy_v1(&v1_path, &cold, None).expect("save v1");
-
-    let lazy = snapshot::load(&v2_path).expect("lazy open").lake;
-    let eager = snapshot::load(&v2_path).expect("eager open").lake;
+    let path = scratch("fidelity.gentlake");
+    snapshot::save(&path, &cold, None).expect("save");
+    let lazy = snapshot::load(&path).expect("lazy open").lake;
+    let eager = snapshot::load(&path).expect("eager open").lake;
     eager.decode_all(2).expect("decode_all");
-    let v1 = snapshot::load(&v1_path).expect("v1 open").lake;
+    let degraded = snapshot::load_degraded(&path).expect("degraded open");
+    assert!(degraded.quarantined.is_empty(), "nothing to quarantine in a clean file");
 
-    assert_eq!(lazy.tables_decoded(), 0, "v2 open must decode nothing");
+    // The same tables in the same order, the second half arriving as three
+    // delta frames; then the file those frames were compacted out of.
+    let framed_path = scratch("fidelity-framed.gentlake");
+    let (base, rest) = lake_tables.split_at(lake_tables.len() / 2);
+    snapshot::save(&framed_path, &DataLake::from_tables(base.to_vec()), None).expect("save base");
+    for frame in rest.chunks(rest.len().div_ceil(3)) {
+        gen_t::store::append_tables(&framed_path, frame).expect("append frame");
+    }
+    let framed = snapshot::load(&framed_path).expect("framed open");
+    assert_eq!(framed.n_frames, 3);
+    let framed_degraded = snapshot::load_degraded(&framed_path).expect("framed degraded open");
+    assert!(framed_degraded.quarantined.is_empty());
+    let compacted_path = scratch("fidelity-compacted.gentlake");
+    std::fs::copy(&framed_path, &compacted_path).expect("copy framed file");
+    assert_eq!(gen_t::store::compact(&compacted_path).expect("compact"), 3);
+    let compacted = snapshot::load(&compacted_path).expect("compacted open");
+    assert_eq!(compacted.n_frames, 0);
+
+    assert_eq!(lazy.tables_decoded(), 0, "a strict open must decode nothing");
+    assert!(!lazy.index_ready(), "a strict open must not materialize the index");
+    assert!(!framed.lake.index_ready(), "frames do not change that");
+    assert!(degraded.lake.index_ready(), "a degraded open hands the index over thawed");
     assert_eq!(eager.tables_decoded(), eager.len(), "decode_all materializes everything");
-    assert_eq!(v1.tables_decoded(), v1.len(), "v1 decodes eagerly by construction");
 
+    let lakes = [
+        ("lazy", &lazy),
+        ("eager", &eager),
+        ("degraded", &degraded.lake),
+        ("framed", &framed.lake),
+        ("framed degraded", &framed_degraded.lake),
+        ("compacted", &compacted.lake),
+    ];
     let gen_t = GenT::new(GenTConfig::default());
     let mut compared = 0usize;
     for case in &bench.cases {
@@ -68,8 +101,9 @@ fn lazy_eager_v1_and_cold_reclaims_are_byte_identical() {
             continue;
         }
         let baseline = gen_t.reclaim(&case.source, &cold).expect("cold reclaim");
-        for (label, lake) in [("lazy", &lazy), ("eager", &eager), ("v1", &v1)] {
+        for (label, lake) in lakes {
             let got = gen_t.reclaim(&case.source, lake).expect("reclaim");
+            assert!(lake.index_ready(), "the first reclaim forces (and verifies) the index");
             assert_eq!(
                 csv_bytes(&got.reclaimed),
                 csv_bytes(&baseline.reclaimed),
