@@ -58,11 +58,6 @@ impl ParsedArgs {
             .ok_or_else(|| CliError::Usage(format!("missing required argument <{name}>")))
     }
 
-    /// Number of positionals.
-    pub fn n_positionals(&self) -> usize {
-        self.positionals.len()
-    }
-
     /// Value of `--name`, if given.
     pub fn option(&self, name: &str) -> Option<&str> {
         self.options.iter().rev().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
@@ -111,7 +106,6 @@ mod tests {
         assert_eq!(p.option("key"), Some("id"));
         assert!(p.flag("explain"));
         assert!(!p.flag("keyless"));
-        assert_eq!(p.n_positionals(), 2);
     }
 
     #[test]

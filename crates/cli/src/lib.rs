@@ -78,9 +78,10 @@ LOGGING:
 A lake snapshot (`lake build`) persists the tables together with the
 inverted value index and optional LSH bands; `reclaim --lake` and
 `lake stat` reopen it without rebuilding anything, and `serve` keeps it
-open: a daemon answering POST /reclaim, POST /reclaim/batch, GET /lakes,
-GET /lake/stat and GET /healthz against the warm lakes (JSON in, JSON
-out; see gent-serve and docs/serving.md). `--lake` repeats to host many
+open: a daemon answering POST /reclaim, GET /lakes, GET /lake/stat and
+GET /healthz against the warm lakes (JSON in, JSON out; see gent-serve
+and docs/serving.md; many sources are many concurrent POST /reclaims).
+`--lake` repeats to host many
 snapshots behind one address — requests route with a `lake` field, the
 first lake is the default — and `gent admin reload` swaps a lake's
 snapshot atomically without dropping in-flight requests (retrying with

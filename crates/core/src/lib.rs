@@ -35,7 +35,6 @@ pub mod cleaning;
 pub mod config;
 pub mod expand;
 pub mod integration;
-pub mod iterative;
 pub mod keyless;
 pub mod matrix;
 pub mod pipeline;
@@ -47,7 +46,6 @@ pub use cleaning::{impute, CleanedReclamation, Imputation, ImputationRule, Imput
 pub use config::GenTConfig;
 pub use expand::{expand, expand_with_stats, ExpandStats};
 pub use integration::{conform_schema, integrate, project_select};
-pub use iterative::MultiLakeOutcome;
 pub use keyless::{keyless_instance_similarity, KeyStrategy, KeylessOutcome};
 pub use matrix::{AlignmentMatrix, CombineScratch};
 pub use pipeline::{GenT, GentError, ReclamationResult, Timings};

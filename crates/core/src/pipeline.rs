@@ -129,9 +129,9 @@ impl GenT {
     }
 
     /// Like [`GenT::reclaim`], with discovery's index walks memoized in a
-    /// caller-owned [`DiscoveryCache`] — bit-identical results, shared
-    /// work when many sources are reclaimed against one lake (the serve
-    /// tier's `POST /reclaim/batch` amortisation).
+    /// caller-owned [`DiscoveryCache`] — bit-identical results, and the
+    /// cache's hit / miss / verification counters afterwards (what the
+    /// bench board's replay reads).
     pub fn reclaim_with_cache(
         &self,
         source: &Table,

@@ -250,11 +250,7 @@ impl FrozenIndex {
     pub fn get(&self, v: &Value) -> &[Posting] {
         let mut w = BinWriter::new();
         encode_value_canonical(v, &mut w);
-        self.get_by_key_bytes(w.as_bytes())
-    }
-
-    /// Posting list for pre-encoded canonical key bytes.
-    pub fn get_by_key_bytes(&self, key: &[u8]) -> &[Posting] {
+        let key = w.as_bytes();
         if self.hashes.is_empty() {
             return &[];
         }
@@ -307,11 +303,6 @@ impl FrozenIndex {
             map.insert(v, postings.to_vec());
         }
         map
-    }
-
-    /// Largest posting `table` field, for bounds validation against a lake.
-    pub fn max_table_index(&self) -> Option<u32> {
-        self.arena.iter().map(|p| p.table).max()
     }
 }
 

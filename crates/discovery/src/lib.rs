@@ -53,7 +53,6 @@
 pub mod frozen;
 pub mod lake;
 pub mod lsh;
-pub mod mate;
 pub mod minhash;
 pub mod retriever;
 pub mod set_similarity;
@@ -64,7 +63,6 @@ pub use lsh::{
     LshColumnExport, LshConfig, LshEnsembleIndex, LshIndexExport, LshMatch, LshPartitionExport,
     LshRetriever,
 };
-pub use mate::{multi_attribute_search, MultiMatch};
 pub use minhash::{MinHashSignature, MinHasher};
 pub use retriever::{OverlapRetriever, TableRetriever};
 pub use set_similarity::{

@@ -47,31 +47,33 @@ pub struct VerificationStats {
     pub aligned_rows_scanned: u64,
 }
 
-/// Memoization shared by the discovery stage across many sources against
-/// one (immutable) lake — the amortisation behind `POST /reclaim/batch`.
+/// Memoization of the discovery stage's index walks against one
+/// (immutable) lake, scoped to one request.
 ///
-/// Two discovery hot spots repeat work when sources overlap:
+/// Two discovery hot spots repeat work inside a reclaim:
 ///
 /// * [`DataLake::containment_counts`] — a full posting-list walk per
-///   distinct source-column value set; sources sharing a column (or probing
-///   with equal value sets) recompute identical count maps. The same count
-///   maps give row-level verification its containments, so no candidate
-///   column's value set is built there at all,
+///   distinct source-column value set; columns probing with equal value
+///   sets recompute identical count maps. The same count maps give
+///   row-level verification its containments, so no candidate column's
+///   value set is built there at all,
 /// * [`DataLake::column_values`] — the diversification loop re-derives the
-///   distinct values of the *same lake columns* for every source that
-///   retrieves them.
+///   distinct values of the *same lake columns* for every source column
+///   that retrieves them.
 ///
 /// Both are pure functions of their inputs, so the cache returns the stored
 /// result verbatim (behind an [`Arc`], no clone) and
 /// [`set_similarity_cached`] is bit-identical to [`set_similarity`] —
-/// pinned by the batch-fidelity e2e test. The cache lives as long as its
-/// caller keeps it — one request, or one batch — never as long as the lake:
-/// an ingest swap would discard it, and resident memory is a gated number.
-/// Hit/miss counters feed the serve tier's batch metrics.
+/// pinned by `gent-core`'s `cached_reclaim_matches_uncached_and_reuses_walks`.
+/// The cache lives as long as its caller keeps it — one request — never as
+/// long as the lake: an ingest swap would discard it, and resident memory
+/// is a gated number. Sharing one cache across the 26 TP-TR Med sources
+/// was measured (33 % → 87.5 % hits, ≈ 0.25 s of 5.1 s) and did not pay;
+/// see `docs/serving.md`, "Many sources".
 #[derive(Debug, Default)]
 pub struct DiscoveryCache {
     /// Count maps keyed by the probe value set. A linear scan with full set
-    /// equality: collision-proof, and batches are tens of sources, not
+    /// equality: collision-proof, and a request probes tens of sets, not
     /// thousands.
     counts: Vec<CountEntry>,
     /// Distinct values per lake column.

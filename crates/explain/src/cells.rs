@@ -10,7 +10,7 @@
 //! penalises (Definition 4).
 
 use gent_metrics::{align_by_key, best_aligned_rows};
-use gent_table::{Table, Value};
+use gent_table::Table;
 
 /// The status of one source cell under a reclamation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,12 +108,6 @@ pub fn classify_cells(source: &Table, reclaimed: &Table) -> CellGrid {
         statuses.push(row_status);
     }
     CellGrid { statuses, best_rows: best }
-}
-
-/// Convenience: true when `v` counts as a value for classification.
-#[allow(dead_code)]
-pub(crate) fn is_value(v: &Value) -> bool {
-    !v.is_null_like()
 }
 
 #[cfg(test)]

@@ -89,14 +89,6 @@ pub fn arm(site: &str, trigger: Trigger) {
     map.insert(site.to_string(), SiteState { trigger, hits: 0, fired: 0, rng });
 }
 
-/// Disarm `site`; subsequent hits no longer fire (counters are discarded).
-pub fn disarm(site: &str) {
-    let mut guard = SITES.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(map) = guard.as_mut() {
-        map.remove(site);
-    }
-}
-
 /// Disarm every site and disable the layer. Harnesses call this on exit so
 /// process-global fault state never leaks across tests.
 pub fn reset() {

@@ -4,7 +4,6 @@
 //! the Source Table, and §VI-A2 defines the evaluation metrics. All of them
 //! live here:
 //!
-//! * [`error_aware_tuple_similarity`] — Eq. 1, `E(s,t) = (α − δ)/n`,
 //! * [`instance_similarity`] — Eq. 2 (Alexe et al.'s measure, key-aligned),
 //! * [`eis`] — Eq. 3, the Error-aware Instance Similarity the reclamation
 //!   problem maximises,
@@ -31,7 +30,5 @@ pub mod tuplewise;
 pub use align::{align_by_key, best_aligned_rows, Alignment};
 pub use divergence::{conditional_kl_divergence, instance_divergence, KlConfig};
 pub use report::{average_reports, evaluate, MethodReport};
-pub use similarity::{
-    eis, eis_with_alignment, error_aware_tuple_similarity, instance_similarity, perfectly_reclaimed,
-};
+pub use similarity::{eis, eis_with_alignment, instance_similarity, perfectly_reclaimed};
 pub use tuplewise::{f1, precision, recall, tuple_intersection};

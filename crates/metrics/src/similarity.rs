@@ -51,24 +51,6 @@ fn alpha_delta(
     (alpha, delta)
 }
 
-/// Eq. 1 — error-aware tuple similarity `E(s,t) = (α(s,t) − δ(s,t)) / n`
-/// over two rows already known to share a key. `n` is the number of non-key
-/// attributes; returns 0 when `n = 0` (a key-only table trivially matches).
-pub fn error_aware_tuple_similarity(
-    source: &Table,
-    reclaimed: &Table,
-    alignment: &Alignment,
-    s_row: usize,
-    t_row: usize,
-) -> f64 {
-    let n = alignment.non_key_cols.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let (alpha, delta) = alpha_delta(source, reclaimed, alignment, s_row, t_row, true);
-    (alpha as f64 - delta as f64) / n as f64
-}
-
 /// Eq. 2 — instance similarity of `source` and `reclaimed`:
 /// `Σ_s max_{t∈m(s)} (α(s,t)/n) / |S|`. Source tuples with no aligned tuple
 /// contribute 0.

@@ -38,7 +38,5 @@ pub use join::{
     cross_product, full_outer_join, inner_join, inner_join_indexed, inner_join_indexed_capped,
     inner_join_pairs, join_layout, left_join, left_key_hashes, JoinIndex, JoinLayout,
 };
-pub use unary::{
-    complementation, minimal_form, project, project_named, select, select_eq, subsumption,
-};
+pub use unary::{complementation, minimal_form, project, project_named, select, subsumption};
 pub use union::{inner_union, outer_union, outer_union_all};

@@ -48,15 +48,6 @@ pub fn select<F: FnMut(&[Value]) -> bool>(t: &Table, mut pred: F) -> Table {
     out
 }
 
-/// σ on equality: keep rows where column `col` equals `value`.
-pub fn select_eq(t: &Table, col: &str, value: &Value) -> Result<Table, OpError> {
-    let j = t
-        .schema()
-        .column_index(col)
-        .ok_or_else(|| OpError::Table(gent_table::TableError::UnknownColumn(col.into())))?;
-    Ok(select(t, |row| &row[j] == value))
-}
-
 /// Does `t1` subsume `t2`? (`t1` ⊒ `t2`, strictly.)
 #[inline]
 pub(crate) fn subsumes(t1: &[Value], t2: &[Value]) -> bool {
@@ -215,8 +206,6 @@ mod tests {
         let x = t(vec![vec![V::Int(1)], vec![V::Int(2)], vec![V::Int(3)]]);
         let s = select(&x, |r| r[0] >= V::Int(2));
         assert_eq!(s.n_rows(), 2);
-        let e = select_eq(&x, "c0", &V::Int(3)).unwrap();
-        assert_eq!(e.n_rows(), 1);
     }
 
     #[test]

@@ -29,17 +29,17 @@
 //! | `GET /lake/stat` | `?lake=name` | table/row/index counts + latency histograms of one warm lake |
 //! | `GET /metrics` | — | Prometheus text exposition (pipeline, store and HTTP metrics) |
 //! | `POST /reclaim` | `{"source": {...}}` or `{"source_name": "t"}`, optional `"lake"`, `"overrides"` | metrics + reclaimed table + originating tables |
-//! | `POST /reclaim/batch` | `{"sources": [...]}` — N reclaim bodies sharing one lake | per-source results + discovery-memo stats |
 //! | `POST /admin/reload` | `{"lake": "n", "path": "new.gentlake"}` | atomic snapshot hot-swap; generation bump |
 //! | `POST /admin/ingest` | `{"lake": "n", "tables": [{...}, …]}` | crash-safe delta append + hot-swap; generation bump |
 //! | `POST /admin/compact` | `{"lake": "n"}` | fold the delta-frame log into a clean base |
 //!
 //! A daemon hosts one or many lakes ([`routing::Router`]): requests route
 //! with a `"lake"` body field / `?lake=` query parameter and fall back to
-//! the first (default) lake, `POST /reclaim/batch` amortises the discovery
-//! stage across sources sharing a lake, and `POST /admin/reload` swaps a
-//! slot's snapshot without dropping in-flight requests (they finish on the
-//! buffer they started on). `POST /admin/ingest` makes the lake *live*:
+//! the first (default) lake; many sources are many concurrent
+//! `POST /reclaim`s (the measured-faster shape, see `docs/serving.md`).
+//! `POST /admin/reload` swaps a slot's snapshot without dropping in-flight
+//! requests (they finish on the buffer they started on). `POST
+//! /admin/ingest` makes the lake *live*:
 //! new tables append to the snapshot file as fsynced, commit-marked delta
 //! frames (acknowledged writes survive any crash), become reclaimable via
 //! the same off-lock load + pointer swap as a reload, and fold into a
@@ -75,7 +75,7 @@
 //! `Connection: keep-alive` may reuse the socket for up to
 //! [`server::MAX_REQUESTS_PER_CONNECTION`] requests, each under its own
 //! read deadline — repeated reclaims stop paying per-request TCP setup
-//! (see `examples/serve_client.rs` for a persistent client).
+//! (`tests/serve_e2e.rs` drives one such persistent connection).
 //!
 //! ## The sharing contract
 //!

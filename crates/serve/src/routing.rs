@@ -18,7 +18,7 @@
 //!
 //! All slots share one `HttpMetrics` registry: per-endpoint instruments
 //! are daemon-wide, per-lake instruments (`gent_lake_tables_decoded`,
-//! `gent_lake_reloads_total`, the batch family) carry a `{lake="…"}` label.
+//! `gent_lake_reloads_total`, …) carry a `{lake="…"}` label.
 //! Reloading never re-registers a family, so scrapes stay collision-free
 //! across generations.
 
@@ -28,16 +28,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gent_core::GenTConfig;
-use gent_discovery::DiscoveryCache;
 use gent_store::{LakeSource, LoadedLake, SnapshotFile};
-use gent_table::Table;
 use parking_lot::{Mutex, RwLock};
 
 use crate::http::{HttpError, Request, Response};
 use crate::json::Json;
 use crate::service::{
-    effective_config, parse_json_body, pipeline_error_kind, reclamation_json, render_metrics,
-    respond_enveloped, table_from_json, ApiError, HttpMetrics, LakeService,
+    parse_json_body, render_metrics, respond_enveloped, table_from_json, ApiError, HttpMetrics,
+    LakeService,
 };
 
 /// Ingest folds the delta log back into a clean base once it reaches this
@@ -318,10 +316,6 @@ impl Router {
                 let slot = self.slot(body_lake(&body)?)?;
                 slot.service().reclaim_body(&body).map(|r| with_generation(r, slot))
             }
-            ("POST", "/reclaim/batch") => {
-                let body = parse_json_body(&request.body)?;
-                self.reclaim_batch(&body)
-            }
             ("POST", "/admin/reload") => {
                 let body = parse_json_body(&request.body)?;
                 self.admin_reload(&body)
@@ -343,15 +337,13 @@ impl Router {
                 "bad_method",
                 format!("{} does not accept {}; use GET", path, request.method),
             )),
-            (
-                _,
-                "/reclaim" | "/reclaim/batch" | "/admin/reload" | "/admin/ingest"
-                | "/admin/compact",
-            ) => Err(ApiError::new(
-                405,
-                "bad_method",
-                format!("{} does not accept {}; use POST", path, request.method),
-            )),
+            (_, "/reclaim" | "/admin/reload" | "/admin/ingest" | "/admin/compact") => {
+                Err(ApiError::new(
+                    405,
+                    "bad_method",
+                    format!("{} does not accept {}; use POST", path, request.method),
+                ))
+            }
             _ => Err(ApiError::new(404, "unknown_path", format!("no such endpoint `{path}`"))),
         }
     }
@@ -443,95 +435,6 @@ impl Router {
             .uptime_seconds
             .set(i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX));
         render_metrics(&self.metrics)
-    }
-
-    /// `POST /reclaim/batch`: N sources against one lake, validated
-    /// upfront (any malformed entry fails the whole batch before work
-    /// starts), then run sequentially through **one shared
-    /// [`DiscoveryCache`]** — sources from the same lake region repeat the
-    /// same containment probes, and the memo answers repeats instead of
-    /// rescanning the inverted index. Per-source results are rendered by
-    /// the same code as single `/reclaim` responses, so batch ≡ sequential
-    /// byte-for-byte (modulo timings). Runtime pipeline failures degrade to
-    /// per-source error objects; the batch itself still answers 200.
-    fn reclaim_batch(&self, body: &Json) -> Result<Response, ApiError> {
-        let batch_slot = self.slot(body_lake(body)?)?;
-        let service = batch_slot.service();
-        let sources_json = body.get("sources").and_then(Json::as_array).ok_or_else(|| {
-            ApiError::new(400, "bad_json", "`sources` must be an array of reclaim requests")
-        })?;
-        if sources_json.is_empty() {
-            return Err(ApiError::new(400, "empty_batch", "`sources` must not be empty"));
-        }
-        let cfg = effective_config(service.base_config(), body)?;
-        let mut parsed = Vec::with_capacity(sources_json.len());
-        let mut seen = std::collections::HashSet::new();
-        for (i, item) in sources_json.iter().enumerate() {
-            let source = service.parse_source(item).map_err(|e| {
-                ApiError::new(e.status, e.kind, format!("sources[{i}]: {}", e.message))
-            })?;
-            if !seen.insert(source.name().to_string()) {
-                return Err(ApiError::new(
-                    400,
-                    "duplicate_source",
-                    format!(
-                        "sources[{i}] duplicates source name `{}`; batch entries must be distinct",
-                        source.name()
-                    ),
-                ));
-            }
-            parsed.push(source);
-        }
-
-        let mut cache = DiscoveryCache::new();
-        let mut discovery = std::time::Duration::ZERO;
-        let mut results = Vec::with_capacity(parsed.len());
-        for source in &parsed {
-            let source: &Table = source;
-            match service.run_reclaim(source, cfg.as_ref(), Some(&mut cache)) {
-                Ok(result) => {
-                    discovery += result.timings.discovery;
-                    results.push(reclamation_json(source.name(), &result, cfg.as_ref()));
-                }
-                Err(e) => results.push(Json::Object(vec![
-                    ("source".into(), Json::str(source.name())),
-                    (
-                        "error".into(),
-                        Json::Object(vec![
-                            ("kind".into(), Json::str(pipeline_error_kind(&e))),
-                            ("message".into(), Json::str(e.to_string())),
-                        ]),
-                    ),
-                ])),
-            }
-        }
-
-        let instruments = self.metrics.batch(service.lake_label());
-        instruments.requests.inc();
-        instruments.sources.add(parsed.len() as u64);
-        instruments.memo_hits.add(cache.hits());
-        instruments.memo_misses.add(cache.misses());
-        instruments.discovery_us.observe(u64::try_from(discovery.as_micros()).unwrap_or(u64::MAX));
-
-        Ok(with_generation(
-            Response::ok(
-                Json::Object(vec![
-                    ("lake".into(), Json::str(service.lake_label())),
-                    ("count".into(), Json::Int(parsed.len() as i64)),
-                    ("results".into(), Json::Array(results)),
-                    (
-                        "discovery".into(),
-                        Json::Object(vec![
-                            ("memo_hits".into(), Json::Int(cache.hits() as i64)),
-                            ("memo_misses".into(), Json::Int(cache.misses() as i64)),
-                            ("discovery_ms".into(), Json::Float(discovery.as_secs_f64() * 1e3)),
-                        ]),
-                    ),
-                ])
-                .render(),
-            ),
-            batch_slot,
-        ))
     }
 
     /// `POST /admin/reload`: atomically replace one lake's snapshot. The
@@ -753,7 +656,7 @@ fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
     use gent_store::{InMemory, LakeSource};
-    use gent_table::Value as V;
+    use gent_table::{Table, Value as V};
 
     fn lake_tables(tag: &str) -> Vec<Table> {
         vec![
@@ -887,44 +790,6 @@ mod tests {
             v.get("error").unwrap().get("kind").and_then(Json::as_str),
             Some("bad_override")
         );
-    }
-
-    #[test]
-    fn batch_validates_and_answers_per_source() {
-        let r = router();
-        let empty = r.respond(Ok(post("/reclaim/batch", r#"{"sources": []}"#)));
-        assert_eq!(empty.status, 400);
-        let v = Json::parse(&empty.body).unwrap();
-        assert_eq!(v.get("error").unwrap().get("kind").and_then(Json::as_str), Some("empty_batch"));
-        let dup = r.respond(Ok(post(
-            "/reclaim/batch",
-            r#"{"sources": [{"source_name": "alpha_ids", "key": ["id"]},
-                            {"source_name": "alpha_ids", "key": ["id"]}]}"#,
-        )));
-        assert_eq!(dup.status, 400);
-        let v = Json::parse(&dup.body).unwrap();
-        assert_eq!(
-            v.get("error").unwrap().get("kind").and_then(Json::as_str),
-            Some("duplicate_source")
-        );
-        let ok = r.respond(Ok(post(
-            "/reclaim/batch",
-            r#"{"lake": "beta",
-                "sources": [{"source_name": "beta_ids", "key": ["id"]},
-                            {"source_name": "beta_people", "key": ["id"]}]}"#,
-        )));
-        assert_eq!(ok.status, 200, "{}", ok.body);
-        let v = Json::parse(&ok.body).unwrap();
-        assert_eq!(v.get("lake").and_then(Json::as_str), Some("beta"));
-        assert_eq!(v.get("count").and_then(Json::as_i64), Some(2));
-        let results = v.get("results").and_then(Json::as_array).unwrap();
-        assert_eq!(results.len(), 2);
-        for res in results {
-            assert!(res.get("reclaimed").is_some(), "{}", ok.body);
-        }
-        let disc = v.get("discovery").expect("batch responses report memo effectiveness");
-        assert!(disc.get("memo_hits").and_then(Json::as_i64).unwrap() >= 0);
-        assert!(disc.get("memo_misses").and_then(Json::as_i64).unwrap() > 0);
     }
 
     #[test]

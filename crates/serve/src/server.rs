@@ -167,8 +167,7 @@ impl Server {
     }
 
     /// Bind `cfg.addr` and serve a multi-lake [`Router`]: per-request lake
-    /// routing, batch reclaim, and atomic snapshot hot-reload behind one
-    /// address.
+    /// routing and atomic snapshot hot-reload behind one address.
     pub fn bind_router(cfg: &ServeConfig, router: Router) -> std::io::Result<Server> {
         let listener = TcpListener::bind(resolve(&cfg.addr)?)?;
         let threads = if cfg.threads == 0 {

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gent_core::{GenT, GenTConfig, GentError, ReclamationResult};
-use gent_discovery::{DataLake, DiscoveryCache, LshEnsembleIndex};
+use gent_discovery::{DataLake, LshEnsembleIndex};
 use gent_obs::{Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS_US};
 use gent_store::{LoadedLake, LshSlot, StoreError};
 use gent_table::key::ensure_key;
@@ -86,7 +86,6 @@ pub(crate) struct HttpMetrics {
     reclaim: EndpointMetrics,
     metrics: EndpointMetrics,
     lakes: EndpointMetrics,
-    reclaim_batch: EndpointMetrics,
     admin_reload: EndpointMetrics,
     admin_ingest: EndpointMetrics,
     admin_compact: EndpointMetrics,
@@ -122,7 +121,6 @@ impl HttpMetrics {
             reclaim: EndpointMetrics::new(&reg, "reclaim"),
             metrics: EndpointMetrics::new(&reg, "metrics"),
             lakes: EndpointMetrics::new(&reg, "lakes"),
-            reclaim_batch: EndpointMetrics::new(&reg, "reclaim_batch"),
             admin_reload: EndpointMetrics::new(&reg, "admin_reload"),
             admin_ingest: EndpointMetrics::new(&reg, "admin_ingest"),
             admin_compact: EndpointMetrics::new(&reg, "admin_compact"),
@@ -175,7 +173,6 @@ impl HttpMetrics {
             Some("/reclaim") => &self.reclaim,
             Some("/metrics") => &self.metrics,
             Some("/lakes") => &self.lakes,
-            Some("/reclaim/batch") => &self.reclaim_batch,
             Some("/admin/reload") => &self.admin_reload,
             Some("/admin/ingest") => &self.admin_ingest,
             Some("/admin/compact") => &self.admin_compact,
@@ -242,41 +239,6 @@ impl HttpMetrics {
         )
     }
 
-    /// The batch-reclaim instruments for one lake: request/source counters,
-    /// the discovery-memo hit/miss counters that make the amortisation
-    /// observable, and the per-batch discovery-stage histogram.
-    pub(crate) fn batch(&self, lake: &str) -> BatchInstruments {
-        let labels: &[(&'static str, &str)] = &[("lake", lake)];
-        BatchInstruments {
-            requests: self.registry.counter(
-                "gent_batch_requests_total",
-                "Batch reclaim requests answered, by lake",
-                labels,
-            ),
-            sources: self.registry.counter(
-                "gent_batch_sources_total",
-                "Source tables processed inside batch reclaims, by lake",
-                labels,
-            ),
-            memo_hits: self.registry.counter(
-                "gent_batch_discovery_memo_hits_total",
-                "Discovery-stage probes answered from the shared batch memo, by lake",
-                labels,
-            ),
-            memo_misses: self.registry.counter(
-                "gent_batch_discovery_memo_misses_total",
-                "Discovery-stage probes computed fresh inside batches, by lake",
-                labels,
-            ),
-            discovery_us: self.registry.histogram(
-                "gent_batch_discovery_duration_us",
-                "Total discovery-stage wall-clock per batch (microseconds), by lake",
-                labels,
-                LATENCY_BOUNDS_US,
-            ),
-        }
-    }
-
     /// The `/lake/stat` latency block: the original four endpoints, in the
     /// original JSON shape (clients predate `/metrics` and parse this).
     fn latency_json(&self) -> Json {
@@ -296,16 +258,6 @@ pub(crate) struct LakeGauges {
     pub(crate) tables_total: Arc<Gauge>,
     pub(crate) lsh_decoded: Arc<Gauge>,
     pub(crate) quarantined_tables: Arc<Gauge>,
-}
-
-/// Per-lake batch-reclaim instruments (see [`HttpMetrics::batch`]).
-#[derive(Debug)]
-pub(crate) struct BatchInstruments {
-    pub(crate) requests: Arc<Counter>,
-    pub(crate) sources: Arc<Counter>,
-    pub(crate) memo_hits: Arc<Counter>,
-    pub(crate) memo_misses: Arc<Counter>,
-    pub(crate) discovery_us: Arc<Histogram>,
 }
 
 /// Render one latency histogram in the `/lake/stat` wire shape: count,
@@ -537,35 +489,12 @@ impl LakeService {
     pub(crate) fn reclaim_body(&self, body: &Json) -> Result<Response, ApiError> {
         let source = self.parse_source(body)?;
         let cfg = effective_config(self.gen_t.config(), body)?;
-        let result = self
-            .run_reclaim(&source, cfg.as_ref(), None)
-            .map_err(|e| ApiError::new(422, pipeline_error_kind(&e), e.to_string()))?;
-        Ok(Response::ok(reclamation_json(source.name(), &result, cfg.as_ref()).render()))
-    }
-
-    /// Run one reclamation with an optional config override and an optional
-    /// shared discovery memo (batch requests thread one cache through every
-    /// source in the batch). With a fresh cache the cached path is
-    /// bit-identical to the uncached one, which is what makes batch ≡
-    /// sequential hold.
-    pub(crate) fn run_reclaim(
-        &self,
-        source: &Table,
-        cfg: Option<&GenTConfig>,
-        cache: Option<&mut DiscoveryCache>,
-    ) -> Result<ReclamationResult, GentError> {
-        let overridden;
-        let engine = match cfg {
-            Some(c) => {
-                overridden = GenT::new(c.clone());
-                &overridden
-            }
-            None => &self.gen_t,
-        };
-        match cache {
-            Some(cache) => engine.reclaim_with_cache(source, &self.lake, cache),
-            None => engine.reclaim(source, &self.lake),
+        let result = match &cfg {
+            Some(overridden) => GenT::new(overridden.clone()).reclaim(&source, &self.lake),
+            None => self.gen_t.reclaim(&source, &self.lake),
         }
+        .map_err(|e| ApiError::new(422, pipeline_error_kind(&e), e.to_string()))?;
+        Ok(Response::ok(reclamation_json(source.name(), &result, cfg.as_ref()).render()))
     }
 
     /// Build the source table from the request body: either an inline
@@ -573,7 +502,7 @@ impl LakeService {
     /// table is *borrowed* from the warm lake; it is cloned only when the
     /// request forces a schema change (a `key` override, or key mining) —
     /// no per-request table copy on the already-keyed path.
-    pub(crate) fn parse_source(&self, body: &Json) -> Result<Cow<'_, Table>, ApiError> {
+    fn parse_source(&self, body: &Json) -> Result<Cow<'_, Table>, ApiError> {
         let mut source: Cow<'_, Table> = match (body.get("source"), body.get("source_name")) {
             (Some(inline), None) => Cow::Owned(table_from_json(inline)?),
             (None, Some(name)) => {
@@ -704,10 +633,7 @@ pub(crate) fn respond_enveloped(
 /// clamped server-side to `[1, MAX_CANDIDATES_CAP]` rather than rejected.
 /// Returns `None` when the request carries no overrides, so the untouched
 /// fast path keeps serving byte-identical responses.
-pub(crate) fn effective_config(
-    base: &GenTConfig,
-    body: &Json,
-) -> Result<Option<GenTConfig>, ApiError> {
+fn effective_config(base: &GenTConfig, body: &Json) -> Result<Option<GenTConfig>, ApiError> {
     let Some(overrides) = body.get("overrides") else { return Ok(None) };
     let Json::Object(fields) = overrides else {
         return Err(ApiError::new(400, "bad_override", "`overrides` must be an object"));
@@ -755,7 +681,7 @@ pub(crate) fn effective_config(
 /// request overrode the configuration, a `config` block echoes the
 /// effective (clamped) values; requests without overrides get the exact
 /// pre-override response bytes.
-pub(crate) fn reclamation_json(
+fn reclamation_json(
     source_name: &str,
     result: &ReclamationResult,
     overridden: Option<&GenTConfig>,
@@ -848,18 +774,18 @@ pub(crate) fn reclamation_json(
     Json::Object(fields)
 }
 
-/// Decode and parse a request body as JSON, with the structured 400s every
-/// POST endpoint answers for non-UTF-8 or malformed bodies.
 /// The structured error kind for a failed reclamation: corrupt-index
 /// failures get their own kind so clients can tell data damage from a bad
 /// request.
-pub(crate) fn pipeline_error_kind(e: &GentError) -> &'static str {
+fn pipeline_error_kind(e: &GentError) -> &'static str {
     match e {
         GentError::IndexCorrupt(_) => "corrupt_snapshot",
         _ => "pipeline",
     }
 }
 
+/// Decode and parse a request body as JSON, with the structured 400s every
+/// POST endpoint answers for non-UTF-8 or malformed bodies.
 pub(crate) fn parse_json_body(body: &[u8]) -> Result<Json, ApiError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ApiError::new(400, "bad_json", "request body is not UTF-8"))?;

@@ -222,7 +222,7 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> String {
     raw(addr, &req, false)
 }
 
-/// The multi-lake surface under hostile input: routing, batching, override
+/// The multi-lake surface under hostile input: routing, override
 /// and reload endpoints must each answer a *structured* 4xx carrying an
 /// `error.trace_id`, and the daemon must keep serving after every one.
 #[test]
@@ -236,26 +236,16 @@ fn hostile_multi_lake_inputs_get_structured_errors() {
     assert_traced(&text);
     assert_alive(addr);
 
-    // 2. Empty batch → 400 empty_batch.
-    let text = post(addr, "/reclaim/batch", r#"{"sources": []}"#);
+    // 2. The retired batch endpoint is an unknown path like any other →
+    //    404 unknown_path (many sources are many `POST /reclaim`s).
+    let text =
+        post(addr, "/reclaim/batch", r#"{"sources": [{"source_name": "people", "key": ["id"]}]}"#);
     let (status, kind) = status_and_kind(&text);
-    assert_eq!((status, kind.as_str()), (400, "empty_batch"), "got: {text}");
+    assert_eq!((status, kind.as_str()), (404, "unknown_path"), "got: {text}");
     assert_traced(&text);
     assert_alive(addr);
 
-    // 3. Duplicate source names in one batch → 400 duplicate_source.
-    let text = post(
-        addr,
-        "/reclaim/batch",
-        r#"{"sources": [{"source_name": "people", "key": ["id"]},
-                        {"source_name": "people", "key": ["id"]}]}"#,
-    );
-    let (status, kind) = status_and_kind(&text);
-    assert_eq!((status, kind.as_str()), (400, "duplicate_source"), "got: {text}");
-    assert_traced(&text);
-    assert_alive(addr);
-
-    // 4. tau outside [0, 1] → 422 bad_override (both ends, and NaN-ish).
+    // 3. tau outside [0, 1] → 422 bad_override (both ends, and NaN-ish).
     for tau in ["-0.1", "1.5", "1e9"] {
         let text = post(
             addr,
@@ -270,7 +260,7 @@ fn hostile_multi_lake_inputs_get_structured_errors() {
     }
     assert_alive(addr);
 
-    // 5. Non-object overrides → 400 bad_override.
+    // 4. Non-object overrides → 400 bad_override.
     let text =
         post(addr, "/reclaim", r#"{"source_name": "people", "key": ["id"], "overrides": [1, 2]}"#);
     let (status, kind) = status_and_kind(&text);
@@ -278,14 +268,14 @@ fn hostile_multi_lake_inputs_get_structured_errors() {
     assert_traced(&text);
     assert_alive(addr);
 
-    // 6a. Reload pointing at a missing file → 422 reload_failed.
+    // 5a. Reload pointing at a missing file → 422 reload_failed.
     let text = post(addr, "/admin/reload", r#"{"path": "/nonexistent/nope.gentlake"}"#);
     let (status, kind) = status_and_kind(&text);
     assert_eq!((status, kind.as_str()), (422, "reload_failed"), "got: {text}");
     assert_traced(&text);
     assert_alive(addr);
 
-    // 6b. Reload pointing at a corrupt file (wrong magic) → 422
+    // 5b. Reload pointing at a corrupt file (wrong magic) → 422
     //     reload_failed, and the live lake keeps serving.
     let corrupt =
         std::env::temp_dir().join(format!("gent-corrupt-{}.gentlake", std::process::id()));

@@ -11,8 +11,7 @@
 //!   from one snapshot generation (all `v1` or all `v2`, never a mix): an
 //!   in-flight request finishes on the buffer it started on.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,7 +19,7 @@ use std::time::Duration;
 
 use gent_core::GenTConfig;
 use gent_discovery::DataLake;
-use gent_serve::{Json, Router, ServeConfig, Server};
+use gent_serve::{ClientResponse, Json, RetryClient, RetryPolicy, Router, ServeConfig, Server};
 use gent_table::{Table, Value as V};
 
 /// Fault state is process-global; the fault-injected test below must not
@@ -44,33 +43,16 @@ fn save_snapshot(dir: &std::path::Path, name: &str, tag: &str) -> PathBuf {
     path
 }
 
-fn http_full(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send");
-    let mut text = String::new();
-    s.read_to_string(&mut text).expect("read");
-    let status: u16 =
-        text.split_whitespace().nth(1).and_then(|t| t.parse().ok()).expect("status line");
-    let (head, payload) = text.split_once("\r\n\r\n").unwrap_or((text.as_str(), ""));
-    (status, head.to_string(), payload.to_string())
+/// One request over a fresh connection, no retries — a hammer that
+/// retried would hide exactly the failures this suite exists to catch.
+fn http_full(addr: SocketAddr, method: &str, path: &str, body: &str) -> ClientResponse {
+    let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+    RetryClient::with_policy(addr, policy).request(method, path, body).expect("request")
 }
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let (status, _, payload) = http_full(addr, method, path, body);
-    (status, payload)
-}
-
-fn generation_header(head: &str) -> Option<i64> {
-    head.lines().find_map(|l| {
-        let (name, value) = l.split_once(':')?;
-        name.eq_ignore_ascii_case("x-gent-generation").then(|| value.trim().parse().ok())?
-    })
+    let response = http_full(addr, method, path, body);
+    (response.status, response.body)
 }
 
 /// Every `val` cell of the reclaimed table must carry the same snapshot
@@ -213,17 +195,18 @@ fn fault_injected_reload_leaves_live_slot_untouched() {
     let runner = std::thread::spawn(move || server.run());
 
     // Baseline: generation 0, serving v1.
-    let (status, head, _) = http_full(addr, "GET", "/lake/stat?lake=main", "");
-    assert_eq!(status, 200);
-    assert_eq!(generation_header(&head), Some(0), "no X-Gent-Generation header: {head}");
+    let stat = http_full(addr, "GET", "/lake/stat?lake=main", "");
+    assert_eq!(stat.status, 200);
+    assert_eq!(stat.generation, Some(0), "no X-Gent-Generation header: {:?}", stat.headers);
 
     // The reload's snapshot read hits an injected IO fault.
     gent_faults::arm("store.load.read", gent_faults::Trigger::NthHit(1));
     gent_faults::set_enabled(true);
     let reload_body = format!(r#"{{"lake": "main", "path": "{}"}}"#, v2.display());
-    let (status, head, payload) = http_full(addr, "POST", "/admin/reload", &reload_body);
-    assert_eq!(status, 422, "{payload}");
-    let v = Json::parse(&payload).unwrap();
+    let failed = http_full(addr, "POST", "/admin/reload", &reload_body);
+    let payload = &failed.body;
+    assert_eq!(failed.status, 422, "{payload}");
+    let v = Json::parse(payload).unwrap();
     let error = v.get("error").expect("structured error body");
     assert_eq!(error.get("kind").and_then(Json::as_str), Some("reload_failed"));
     assert!(
@@ -233,25 +216,25 @@ fn fault_injected_reload_leaves_live_slot_untouched() {
     assert!(error.get("trace_id").and_then(Json::as_str).is_some(), "{payload}");
     assert_eq!(gent_faults::fired("store.load.read"), 1);
     assert_eq!(
-        generation_header(&head),
-        None,
-        "a failed reload must not advertise a generation: {head}"
+        failed.generation, None,
+        "a failed reload must not advertise a generation: {:?}",
+        failed.headers
     );
     gent_faults::reset();
 
     // Slot untouched: generation still 0, traffic still answered by v1.
-    let (status, head, _) = http_full(addr, "GET", "/lake/stat?lake=main", "");
-    assert_eq!(status, 200);
-    assert_eq!(generation_header(&head), Some(0), "failed reload bumped the generation");
+    let stat = http_full(addr, "GET", "/lake/stat?lake=main", "");
+    assert_eq!(stat.status, 200);
+    assert_eq!(stat.generation, Some(0), "failed reload bumped the generation");
     let (status, payload) =
         http(addr, "POST", "/reclaim", r#"{"lake": "main", "source_name": "marker"}"#);
     assert_eq!(status, 200, "{payload}");
     assert_eq!(response_tag(&payload), "v1", "failed reload must not swap the snapshot");
 
     // Fault cleared: the identical reload goes through.
-    let (status, head, payload) = http_full(addr, "POST", "/admin/reload", &reload_body);
-    assert_eq!(status, 200, "{payload}");
-    assert_eq!(generation_header(&head), Some(1), "{head}");
+    let reloaded = http_full(addr, "POST", "/admin/reload", &reload_body);
+    assert_eq!(reloaded.status, 200, "{}", reloaded.body);
+    assert_eq!(reloaded.generation, Some(1), "{:?}", reloaded.headers);
     let (status, payload) =
         http(addr, "POST", "/reclaim", r#"{"lake": "main", "source_name": "marker"}"#);
     assert_eq!(status, 200, "{payload}");

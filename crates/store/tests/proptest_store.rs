@@ -4,7 +4,10 @@
 
 use gent_discovery::DataLake;
 use gent_store::snapshot;
-use gent_table::binary::{decode_table, encode_table};
+use gent_table::binary::{
+    decode_string_table, decode_table_columnar, encode_table_columnar, fold64, BinReader,
+    BinWriter, StringTableBuilder,
+};
 use gent_table::{Table, Value};
 use proptest::prelude::*;
 
@@ -53,22 +56,37 @@ fn repr(t: &Table) -> String {
     format!("{:?} {:?} {:?}", t.name(), t.schema(), t.rows())
 }
 
+/// `t` as snapshots and delta frames store it: the columnar frame and the
+/// string table its string cells index.
+fn encode(t: &Table) -> (Vec<u8>, Vec<u8>) {
+    let mut strings = StringTableBuilder::new();
+    let mut frame = BinWriter::new();
+    encode_table_columnar(t, &mut frame, &mut strings);
+    let mut strtab = BinWriter::new();
+    strings.encode(&mut strtab);
+    (frame.into_bytes(), strtab.into_bytes())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Satellite requirement: `Table` → bytes → `Table` is the identity.
     #[test]
     fn table_binary_round_trip(t in any_table()) {
-        let bytes = encode_table(&t);
-        let back = decode_table(&bytes)
+        let (frame, strtab) = encode(&t);
+        let strings = decode_string_table(&mut BinReader::new(&strtab))
+            .map_err(|e| TestCaseError::fail(format!("string table decode failed: {e}")))?;
+        let mut r = BinReader::new(&frame);
+        let back = decode_table_columnar(&mut r, &strings)
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+        prop_assert_eq!(r.remaining(), 0);
         prop_assert_eq!(repr(&back), repr(&t));
     }
 
     /// Encoding is deterministic — same table, same bytes.
     #[test]
     fn table_encoding_is_stable(t in any_table()) {
-        prop_assert_eq!(encode_table(&t), encode_table(&t));
+        prop_assert_eq!(encode(&t), encode(&t));
     }
 
     /// Snapshots of arbitrary lakes reopen with the same tables and the
@@ -79,7 +97,7 @@ proptest! {
         let path = std::env::temp_dir().join(format!(
             "gent-store-prop-{}-{:x}.gentlake",
             std::process::id(),
-            gent_table::binary::fnv1a64(repr(lake.get(0).unwrap()).as_bytes())
+            fold64(repr(lake.get(0).unwrap()).as_bytes())
         ));
         snapshot::save(&path, &lake, None)
             .map_err(|e| TestCaseError::fail(format!("save failed: {e}")))?;

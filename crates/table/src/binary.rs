@@ -1,21 +1,20 @@
 //! Stable binary encoding for [`Value`], [`Schema`] and [`Table`].
 //!
 //! `gent-store` persists whole data lakes; this module is the codec layer it
-//! builds on. The format is little-endian, versioned and checksummed:
+//! builds on. The format is little-endian; the snapshot container that
+//! holds these frames versions and checksums them ([`fold64`]):
 //!
 //! ```text
-//! table frame := MAGIC "GTBL" | version u8 | payload | fnv1a64(payload) u64
-//! payload     := name | schema | n_rows u64 | cells (row-major)
-//! schema      := n_cols u16 | column names | n_key u16 | key indices u16*
-//! value       := tag u8 | tag-specific bytes (see `TAG_*`)
+//! table  := name | schema | n_rows u64 | columns (see `encode_table_columnar`)
+//! schema := n_cols u16 | column names | n_key u16 | key indices u16*
+//! value  := tag u8 | tag-specific bytes (see `TAG_*`)
 //! ```
 //!
 //! Strings are length-prefixed UTF-8. Floats are stored by raw bits, so a
 //! round-trip is bit-exact (NaN payloads included); equality semantics are
 //! untouched because [`Value`]'s `Eq`/`Hash` already normalise floats.
-//! Decoding never trusts the input: truncated buffers, bad magic, unknown
-//! versions or tags, and checksum mismatches all return
-//! [`TableError::Binary`] instead of panicking.
+//! Decoding never trusts the input: truncated buffers and unknown tags
+//! return [`TableError::Binary`] instead of panicking.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -26,12 +25,6 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::view::LakeBuf;
 
-/// Magic prefix of an encoded table frame.
-pub const TABLE_MAGIC: &[u8; 4] = b"GTBL";
-
-/// Current table-frame format version.
-pub const TABLE_FORMAT_VERSION: u8 = 1;
-
 const TAG_NULL: u8 = 0;
 const TAG_LABELED_NULL: u8 = 1;
 const TAG_BOOL_FALSE: u8 = 2;
@@ -39,16 +32,6 @@ const TAG_BOOL_TRUE: u8 = 3;
 const TAG_INT: u8 = 4;
 const TAG_FLOAT: u8 = 5;
 const TAG_STR: u8 = 6;
-
-/// FNV-1a over `bytes` — the checksum guarding every frame.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Word-folding 64-bit checksum (FxHash-style): processes 8 bytes per step,
 /// an order of magnitude faster than byte-at-a-time FNV on multi-megabyte
@@ -409,89 +392,6 @@ pub fn decode_schema(r: &mut BinReader<'_>) -> Result<Schema, TableError> {
     }
     schema.set_key(key_names)?;
     Ok(schema)
-}
-
-/// Encode a table as a self-contained, checksummed frame.
-pub fn encode_table(t: &Table) -> Vec<u8> {
-    let mut w = BinWriter::new();
-    w.put_raw(TABLE_MAGIC);
-    w.put_u8(TABLE_FORMAT_VERSION);
-    let payload_start = w.len();
-    encode_table_payload(t, &mut w);
-    let checksum = fnv1a64(&w.as_bytes()[payload_start..]);
-    w.put_u64(checksum);
-    w.into_bytes()
-}
-
-/// Encode a table's payload into an existing writer (no magic/checksum);
-/// the snapshot container frames and checksums sections itself.
-pub fn encode_table_payload(t: &Table, w: &mut BinWriter) {
-    w.put_str(t.name());
-    encode_schema(t.schema(), w);
-    w.put_u64(t.n_rows() as u64);
-    for row in t.rows() {
-        for v in row {
-            encode_value(v, w);
-        }
-    }
-}
-
-/// Decode a table frame produced by [`encode_table`].
-pub fn decode_table(bytes: &[u8]) -> Result<Table, TableError> {
-    let mut r = BinReader::new(bytes);
-    let magic = r.take(4)?;
-    if magic != TABLE_MAGIC {
-        return Err(TableError::Binary(format!("bad magic {magic:02x?}, expected \"GTBL\"")));
-    }
-    let version = r.get_u8()?;
-    if version != TABLE_FORMAT_VERSION {
-        return Err(TableError::Binary(format!(
-            "unsupported table format version {version} (this build reads {TABLE_FORMAT_VERSION})"
-        )));
-    }
-    if r.remaining() < 8 {
-        return Err(TableError::Binary("frame too short for checksum".into()));
-    }
-    let payload = &bytes[r.position()..bytes.len() - 8];
-    let mut tail = BinReader::new(&bytes[bytes.len() - 8..]);
-    let stored = tail.get_u64()?;
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(TableError::Binary(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    let mut r = BinReader::new(payload);
-    let t = decode_table_payload(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(TableError::Binary(format!("{} trailing bytes after table", r.remaining())));
-    }
-    Ok(t)
-}
-
-/// Decode a table payload written by [`encode_table_payload`].
-pub fn decode_table_payload(r: &mut BinReader<'_>) -> Result<Table, TableError> {
-    let name = r.get_str()?.to_string();
-    let schema = decode_schema(r)?;
-    let n_rows = r.get_u64()? as usize;
-    let n_cols = schema.len();
-    // Guard against absurd row counts from corrupt input: each cell is at
-    // least one tag byte.
-    if n_rows.checked_mul(n_cols.max(1)).is_none_or(|cells| cells > r.remaining()) {
-        return Err(TableError::Binary(format!(
-            "row count {n_rows} × {n_cols} columns exceeds remaining {} bytes",
-            r.remaining()
-        )));
-    }
-    let mut rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            row.push(decode_value(r)?);
-        }
-        rows.push(row);
-    }
-    Table::from_rows(name, schema, rows)
 }
 
 const COL_GENERIC: u8 = 0;
@@ -939,11 +839,27 @@ mod tests {
         .unwrap()
     }
 
+    /// `t` through the codec snapshots and delta frames use: columnar
+    /// frame + interned string table, encoded and decoded back.
+    fn round_trip(t: &Table) -> Table {
+        let mut strings = StringTableBuilder::new();
+        let mut w = BinWriter::new();
+        encode_table_columnar(t, &mut w, &mut strings);
+        let mut st = BinWriter::new();
+        strings.encode(&mut st);
+        let table = decode_string_table(&mut BinReader::new(st.as_bytes())).unwrap();
+        assert_eq!(table.len(), strings.len());
+        let bytes = w.into_bytes();
+        let mut r = BinReader::new(&bytes);
+        let back = decode_table_columnar(&mut r, &table).unwrap();
+        assert_eq!(r.remaining(), 0);
+        back
+    }
+
     #[test]
     fn table_round_trip_is_identical() {
         let t = sample();
-        let bytes = encode_table(&t);
-        let back = decode_table(&bytes).unwrap();
+        let back = round_trip(&t);
         assert_eq!(back.name(), t.name());
         assert!(back.schema().same_columns(t.schema()));
         assert_eq!(back.schema().key(), t.schema().key());
@@ -952,48 +868,29 @@ mod tests {
 
     #[test]
     fn nan_bits_survive() {
-        let t = sample();
-        let back = decode_table(&encode_table(&t)).unwrap();
-        match back.cell(1, 2) {
-            Some(Value::Float(f)) => assert!(f.is_nan()),
-            other => panic!("expected NaN float, got {other:?}"),
+        // Once in a mixed (tagged-cell) column, once in a packed float one.
+        let packed = Table::build(
+            "f",
+            &["x"],
+            &[],
+            vec![vec![Value::Float(0.5)], vec![Value::Float(f64::NAN)]],
+        )
+        .unwrap();
+        for (t, row, col) in [(sample(), 1, 2), (packed, 1, 0)] {
+            match round_trip(&t).cell(row, col) {
+                Some(Value::Float(f)) => assert!(f.is_nan()),
+                other => panic!("expected NaN float, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn empty_and_keyless_tables_round_trip() {
         let t = Table::build::<&str>("empty", &["a", "b"], &[], vec![]).unwrap();
-        let back = decode_table(&encode_table(&t)).unwrap();
+        let back = round_trip(&t);
         assert_eq!(back.n_rows(), 0);
         assert!(!back.schema().has_key());
         assert_eq!(back.schema().columns().collect::<Vec<_>>(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let t = sample();
-        let good = encode_table(&t);
-
-        // Flip one payload byte → checksum mismatch.
-        let mut bad = good.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xFF;
-        assert!(matches!(decode_table(&bad), Err(TableError::Binary(_))));
-
-        // Truncation.
-        assert!(matches!(decode_table(&good[..good.len() - 3]), Err(TableError::Binary(_))));
-
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        let err = decode_table(&bad).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-
-        // Future version.
-        let mut bad = good;
-        bad[4] = TABLE_FORMAT_VERSION + 1;
-        let err = decode_table(&bad).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]
@@ -1056,17 +953,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let mut strings = StringTableBuilder::new();
-        let mut w = BinWriter::new();
-        encode_table_columnar(&t, &mut w, &mut strings);
-        let mut st = BinWriter::new();
-        strings.encode(&mut st);
-        let table = decode_string_table(&mut BinReader::new(st.as_bytes())).unwrap();
-        assert_eq!(table.len(), strings.len());
-        let bytes = w.into_bytes();
-        let mut r = BinReader::new(&bytes);
-        let back = decode_table_columnar(&mut r, &table).unwrap();
-        assert_eq!(r.remaining(), 0);
+        let back = round_trip(&t);
         assert_eq!(format!("{:?}", back.rows()), format!("{:?}", t.rows()));
         assert_eq!(back.schema().key(), t.schema().key());
         assert_eq!(back.name(), t.name());

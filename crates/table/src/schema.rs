@@ -81,11 +81,6 @@ impl Schema {
         self.columns.get(i).map(|c| c.as_ref())
     }
 
-    /// Shared-ownership column name at `i` (cheap clone).
-    pub fn column_arc(&self, i: usize) -> Option<Arc<str>> {
-        self.columns.get(i).cloned()
-    }
-
     /// Index of a column by name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.index.get(name).copied()

@@ -358,11 +358,6 @@ impl Table {
         })
     }
 
-    /// Count non-null-like cells.
-    pub fn non_null_cells(&self) -> usize {
-        self.rows.iter().flat_map(|r| r.iter()).filter(|v| !v.is_null_like()).count()
-    }
-
     /// Distinct row multiset view used by tuple-level precision/recall.
     pub fn row_set(&self) -> FxHashSet<&[Value]> {
         self.rows.iter().map(|r| r.as_slice()).collect()

@@ -1,66 +1,17 @@
 //! A minimal, std-only client driving the `gent serve` daemon end to end:
 //! build a lake, snapshot it, boot the daemon on an ephemeral port, then
-//! talk to it two ways — through the retrying [`RetryClient`] (jittered
-//! backoff on 429/503/socket faults, generation tracking across
-//! `/admin/reload` swaps) and over one raw kept-alive connection.
+//! talk to it through the retrying [`RetryClient`] (jittered backoff on
+//! 429/503/socket faults, generation tracking across `/admin/reload`
+//! swaps).
 //!
 //! ```text
 //! cargo run --release --example serve_client
 //! ```
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
-
 use gen_t::core::GenTConfig;
 use gen_t::prelude::*;
 use gen_t::serve::{LakeService, RetryClient, RetryPolicy, ServeConfig, Server};
 use gen_t::store::{snapshot, LakeSource, SnapshotFile};
-
-/// A persistent client: one TCP connection, many requests. Asking for
-/// `Connection: keep-alive` makes the daemon hand the socket back after
-/// each response, so a reclaim loop pays TCP setup once instead of per
-/// request. Because the connection stays open, responses are framed by
-/// `Content-Length` rather than EOF.
-struct KeepAliveClient {
-    /// One buffered reader for the connection's whole life (writes go
-    /// through `get_mut()`), mirroring how the daemon reads its side.
-    reader: std::io::BufReader<TcpStream>,
-}
-
-impl KeepAliveClient {
-    fn connect(addr: SocketAddr) -> KeepAliveClient {
-        let stream = TcpStream::connect(addr).expect("connect to daemon");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
-        KeepAliveClient { reader: std::io::BufReader::new(stream) }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> String {
-        use std::io::BufRead;
-        write!(
-            self.reader.get_mut(),
-            "{method} {path} HTTP/1.1\r\nHost: demo\r\nConnection: keep-alive\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("send request");
-        let mut content_length = 0usize;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            self.reader.read_line(&mut line).expect("read header");
-            if line == "\r\n" || line.is_empty() {
-                break;
-            }
-            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().expect("content-length");
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).expect("read body");
-        String::from_utf8(body).expect("utf8 body")
-    }
-}
 
 fn main() {
     // ── A small lake: two fragments of a people table, snapshotted. ─────
@@ -120,16 +71,6 @@ fn main() {
     // reclaim this source perfectly.
     assert_eq!(response.status, 200);
     assert!(response.body.contains("\"eis\":1"), "expected a perfect EIS, got: {response:?}");
-
-    // ── The same, over one kept-alive connection: repeated reclaims skip
-    //    the per-request TCP handshake entirely. ─────────────────────────
-    let mut pooled = KeepAliveClient::connect(addr);
-    for i in 0..3 {
-        let reused = pooled.request("POST", "/reclaim", request);
-        assert!(reused.contains("\"eis\":1"), "keep-alive reclaim {i}: {reused}");
-        println!("keep-alive #{i} → eis 1.0 (same socket)");
-    }
-    drop(pooled);
 
     // Errors are structured, and the daemon survives them.
     let bad = client.post("/reclaim", "{not json").expect("bad request still answers");

@@ -5,13 +5,13 @@
 //! observability layer promises (pipeline stages, store opens, per-endpoint
 //! HTTP counters, queue depth, decode gauges) must be present with samples.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use gen_t::core::GenTConfig;
-use gen_t::serve::{Json, LakeService, ServeConfig, Server};
+use gen_t::serve::{
+    ClientResponse, Json, LakeService, RetryClient, RetryPolicy, ServeConfig, Server,
+};
 use gen_t::store::{LakeSource, SnapshotFile};
 use gen_t::table::{csv, key::ensure_key};
 use gent_bench::promtext;
@@ -28,22 +28,10 @@ fn cli(args: &[&str]) {
     gent_cli::run(&args, &mut out).expect("cli run");
 }
 
-/// One raw HTTP exchange; returns (status, headers, body).
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut text = String::new();
-    s.read_to_string(&mut text).expect("read response");
-    let status: u16 =
-        text.split_whitespace().nth(1).and_then(|t| t.parse().ok()).expect("status line");
-    let (head, payload) = text.split_once("\r\n\r\n").unwrap_or((text.as_str(), ""));
-    (status, head.to_string(), payload.to_string())
+/// One request over a fresh connection, no retries.
+fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> ClientResponse {
+    let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+    RetryClient::with_policy(addr, policy).request(method, path, body).expect("request")
 }
 
 #[test]
@@ -71,41 +59,29 @@ fn metrics_endpoint_survives_the_strict_parser() {
 
     // Traffic across every route class: success, reclaim (exercises the
     // pipeline spans feeding the global registry), and an error.
-    let (status, _, _) = http(addr, "GET", "/healthz", "");
-    assert_eq!(status, 200);
-    let (status, _, _) = http(addr, "GET", "/lake/stat", "");
-    assert_eq!(status, 200);
+    assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
+    assert_eq!(http(addr, "GET", "/lake/stat", "").status, 200);
     let mut source = csv::read_csv_file(&gen_dir.join("sources").join("S1.csv")).expect("source");
     assert!(ensure_key(&mut source));
     let body =
         Json::Object(vec![("source".to_string(), gen_t::serve::table_to_json(&source))]).render();
-    let (status, _, reclaim_body) = http(addr, "POST", "/reclaim", &body);
-    assert_eq!(status, 200, "{reclaim_body}");
-    let batch = Json::Object(vec![(
-        "sources".to_string(),
-        Json::Array(vec![Json::Object(vec![(
-            "source".to_string(),
-            gen_t::serve::table_to_json(&source),
-        )])]),
-    )])
-    .render();
-    let (status, _, batch_body) = http(addr, "POST", "/reclaim/batch", &batch);
-    assert_eq!(status, 200, "{batch_body}");
-    let (status, _, _) = http(addr, "GET", "/lakes", "");
-    assert_eq!(status, 200);
-    let (status, _, _) = http(addr, "GET", "/no/such/route", "");
-    assert_eq!(status, 404);
+    let reclaim = http(addr, "POST", "/reclaim", &body);
+    assert_eq!(reclaim.status, 200, "{}", reclaim.body);
+    assert_eq!(http(addr, "GET", "/lakes", "").status, 200);
+    assert_eq!(http(addr, "GET", "/no/such/route", "").status, 404);
 
     // The scrape itself.
-    let (status, head, text) = http(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200, "{text}");
+    let scrape = http(addr, "GET", "/metrics", "");
+    let text = &scrape.body;
+    assert_eq!(scrape.status, 200, "{text}");
     assert!(
-        head.lines().any(|l| l.to_ascii_lowercase().starts_with("content-type: text/plain")),
-        "exposition must be served as text/plain: {head}"
+        scrape.header("content-type").is_some_and(|v| v.starts_with("text/plain")),
+        "exposition must be served as text/plain: {:?}",
+        scrape.headers
     );
 
     // Every line parses, and the promised families are all present.
-    let exp = promtext::parse_exposition(&text)
+    let exp = promtext::parse_exposition(text)
         .unwrap_or_else(|e| panic!("/metrics failed the parser: {e}"));
     exp.require_families(&[
         // pipeline (process-global registry, fed by the reclaim above)
@@ -137,12 +113,6 @@ fn metrics_endpoint_survives_the_strict_parser() {
         "gent_http_queue_depth",
         "gent_http_queue_depth_peak",
         "gent_http_shed_total",
-        // batch reclaim (per-lake labels, fed by the batch above)
-        "gent_batch_requests_total",
-        "gent_batch_sources_total",
-        "gent_batch_discovery_memo_hits_total",
-        "gent_batch_discovery_memo_misses_total",
-        "gent_batch_discovery_duration_us",
         // lake decode state (one series per hosted lake)
         "gent_lake_tables_decoded",
         "gent_lake_tables_total",
@@ -151,14 +121,17 @@ fn metrics_endpoint_survives_the_strict_parser() {
         "gent_uptime_seconds",
     ])
     .unwrap_or_else(|e| panic!("{e}\n--- exposition ---\n{text}"));
+    // The batch endpoint is retired, and its families with it.
+    assert!(
+        !exp.families.iter().any(|(name, _)| name.starts_with("gent_batch")),
+        "no batch family may be exposed:\n{text}"
+    );
 
     // Spot-check the counters actually counted this test's traffic.
     assert_eq!(exp.value("gent_http_requests_total", &[("endpoint", "reclaim")]), Some(1.0));
-    assert_eq!(exp.value("gent_http_requests_total", &[("endpoint", "reclaim_batch")]), Some(1.0));
     assert_eq!(exp.value("gent_http_requests_total", &[("endpoint", "lakes")]), Some(1.0));
     assert_eq!(exp.value("gent_http_errors_total", &[("endpoint", "other")]), Some(1.0));
-    assert_eq!(exp.value("gent_pipeline_reclaims_total", &[]), Some(2.0));
-    assert_eq!(exp.value("gent_batch_sources_total", &[("lake", "default")]), Some(1.0));
+    assert_eq!(exp.value("gent_pipeline_reclaims_total", &[]), Some(1.0));
     assert!(
         exp.value("gent_pipeline_stage_duration_us_count", &[("stage", "traversal")])
             .is_some_and(|v| v >= 1.0),
@@ -191,8 +164,9 @@ fn metrics_endpoint_survives_the_strict_parser() {
 
     // And the scrape is traced like any other request.
     assert!(
-        head.lines().any(|l| l.to_ascii_lowercase().starts_with("x-request-id:")),
-        "/metrics must carry a request ID: {head}"
+        scrape.header("x-request-id").is_some(),
+        "/metrics must carry a request ID: {:?}",
+        scrape.headers
     );
 
     handle.stop();
@@ -236,10 +210,10 @@ fn degraded_daemon_reports_quarantine_and_keeps_serving() {
     let runner = std::thread::spawn(move || server.run());
 
     // The quarantined table answers a structured 410; the healthy one 200.
-    let (status, _, body) =
-        http(addr, "POST", "/reclaim", r#"{"source_name": "doomed", "key": ["id"]}"#);
-    assert_eq!(status, 410, "{body}");
-    let v = Json::parse(&body).expect("structured 410");
+    let gone = http(addr, "POST", "/reclaim", r#"{"source_name": "doomed", "key": ["id"]}"#);
+    let body = &gone.body;
+    assert_eq!(gone.status, 410, "{body}");
+    let v = Json::parse(body).expect("structured 410");
     assert_eq!(
         v.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
         Some("quarantined"),
@@ -251,12 +225,13 @@ fn degraded_daemon_reports_quarantine_and_keeps_serving() {
     // the process-global pipeline counters the sibling test pins.)
 
     // /lake/stat names the quarantined table; the gauge counts it.
-    let (status, _, stat) = http(addr, "GET", "/lake/stat", "");
-    assert_eq!(status, 200);
-    assert!(stat.contains("quarantined") && stat.contains("doomed"), "{stat}");
-    let (status, _, text) = http(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    let exp = promtext::parse_exposition(&text)
+    let stat = http(addr, "GET", "/lake/stat", "");
+    assert_eq!(stat.status, 200);
+    assert!(stat.body.contains("quarantined") && stat.body.contains("doomed"), "{}", stat.body);
+    let scrape = http(addr, "GET", "/metrics", "");
+    let text = &scrape.body;
+    assert_eq!(scrape.status, 200);
+    let exp = promtext::parse_exposition(text)
         .unwrap_or_else(|e| panic!("/metrics failed the parser: {e}"));
     assert_eq!(
         exp.value("gent_lake_quarantined_tables", &[("lake", "deg")]),

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use gen_t::core::GenTConfig;
-use gen_t::serve::{Json, LakeService, ServeConfig, Server};
+use gen_t::serve::{Json, LakeService, RetryClient, RetryPolicy, ServeConfig, Server};
 use gen_t::store::{LakeSource, SnapshotFile};
 use gen_t::table::{csv, key::ensure_key};
 
@@ -27,22 +27,12 @@ fn cli(args: &[&str]) -> String {
     String::from_utf8(out).expect("utf8 cli output")
 }
 
-/// One raw HTTP request over a fresh connection; returns (status, body).
+/// One request over a fresh connection, no retries; returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
-    let mut text = String::new();
-    s.read_to_string(&mut text).expect("read response");
-    let status: u16 =
-        text.split_whitespace().nth(1).and_then(|t| t.parse().ok()).expect("status line");
-    let payload = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
-    (status, payload)
+    let policy = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+    let response =
+        RetryClient::with_policy(addr, policy).request(method, path, body).expect("request");
+    (response.status, response.body)
 }
 
 /// Send one request over an already-open connection, asking the daemon to
@@ -238,122 +228,6 @@ fn daemon_matches_one_shot_cli_byte_for_byte() {
     assert_eq!(connection, "keep-alive");
     drop(reader);
     drop(stream);
-
-    handle.stop();
-    runner.join().unwrap().expect("server run");
-}
-
-/// Rename an inline-source JSON table, so one CSV can stand in for several
-/// distinct batch entries (duplicate *names* are rejected by the batch
-/// endpoint; duplicate *content* is exactly what makes the shared
-/// discovery memo observable).
-fn renamed(table: &Json, name: &str) -> Json {
-    match table.clone() {
-        Json::Object(fields) => Json::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| if k == "name" { (k, Json::str(name)) } else { (k, v) })
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-/// Batch ≡ sequential: a `POST /reclaim/batch` of N sources must answer,
-/// per source, byte-identically (modulo timings) to N individual
-/// `POST /reclaim` calls — and the shared discovery memo must actually
-/// amortise work, observable in the response and in `/metrics`.
-#[test]
-fn batch_reclaim_matches_sequential_and_amortises_discovery() {
-    let gen_dir = scratch("batch-suite");
-    cli(&["generate", gen_dir.to_str().unwrap(), "--benchmark", "tp-tr-small", "--seed", "7"]);
-    let snap = scratch("batch-lake.gentlake");
-    cli(&[
-        "lake",
-        "build",
-        gen_dir.join("lake").to_str().unwrap(),
-        "--out",
-        snap.to_str().unwrap(),
-    ]);
-
-    let mut source = csv::read_csv_file(&gen_dir.join("sources").join("S1.csv")).expect("source");
-    assert!(ensure_key(&mut source));
-    let table = gen_t::serve::table_to_json(&source);
-    let names = ["batch_a", "batch_b", "batch_c"];
-
-    let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
-    let service = LakeService::new(loaded, GenTConfig::default(), snap.display().to_string());
-    let cfg = ServeConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServeConfig::default() };
-    let server = Server::bind(&cfg, service).expect("bind");
-    let addr = server.local_addr().expect("addr");
-    let handle = server.handle().expect("handle");
-    let runner = std::thread::spawn(move || server.run());
-
-    // N individual reclaims…
-    let sequential: Vec<String> = names
-        .iter()
-        .map(|name| {
-            let body = Json::Object(vec![("source".to_string(), renamed(&table, name))]).render();
-            let (status, payload) = http(addr, "POST", "/reclaim", &body);
-            assert_eq!(status, 200, "sequential {name}: {payload}");
-            payload
-        })
-        .collect();
-
-    // …then the same N sources as one batch.
-    let batch_body = Json::Object(vec![(
-        "sources".to_string(),
-        Json::Array(
-            names
-                .iter()
-                .map(|name| Json::Object(vec![("source".to_string(), renamed(&table, name))]))
-                .collect(),
-        ),
-    )])
-    .render();
-    let (status, payload) = http(addr, "POST", "/reclaim/batch", &batch_body);
-    assert_eq!(status, 200, "batch: {payload}");
-    let v = Json::parse(&payload).expect("batch json");
-    assert_eq!(v.get("count").and_then(Json::as_i64), Some(names.len() as i64));
-    let results = v.get("results").and_then(Json::as_array).expect("results array");
-    assert_eq!(results.len(), names.len());
-
-    // Per-source fidelity: each batch entry is the single-call response,
-    // byte-for-byte once the genuinely-variable timings are stripped.
-    for ((name, batch_result), single) in names.iter().zip(results).zip(&sequential) {
-        assert_eq!(
-            without_timings(&batch_result.render()),
-            without_timings(single),
-            "batch entry `{name}` diverged from its sequential twin"
-        );
-    }
-
-    // Amortisation is observable: identical sources repeat identical
-    // discovery probes, so the shared memo must have answered some.
-    let disc = v.get("discovery").expect("batch responses report discovery stats");
-    let hits = disc.get("memo_hits").and_then(Json::as_i64).expect("memo_hits");
-    let misses = disc.get("memo_misses").and_then(Json::as_i64).expect("memo_misses");
-    assert!(hits > 0, "identical batch sources must hit the shared memo: {payload}");
-    assert!(misses > 0, "the first source always computes fresh: {payload}");
-    assert!(disc.get("discovery_ms").and_then(Json::as_f64).is_some());
-
-    // …and lands in /metrics: per-lake batch counters plus the
-    // discovery-stage histogram that makes the amortised time visible.
-    let (status, metrics) = http(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    let sample = |name: &str| -> i64 {
-        metrics
-            .lines()
-            .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no sample `{name}` in:\n{metrics}"))
-    };
-    assert_eq!(sample("gent_batch_requests_total{lake=\"default\"}"), 1);
-    assert_eq!(sample("gent_batch_sources_total{lake=\"default\"}"), names.len() as i64);
-    assert_eq!(sample("gent_batch_discovery_memo_hits_total{lake=\"default\"}"), hits);
-    assert_eq!(sample("gent_batch_discovery_memo_misses_total{lake=\"default\"}"), misses);
-    assert_eq!(sample("gent_batch_discovery_duration_us_count{lake=\"default\"}"), 1);
 
     handle.stop();
     runner.join().unwrap().expect("server run");
@@ -615,10 +489,10 @@ impl SharedOut {
 
 /// The full multi-lake story through the real CLI surface: `gent serve`
 /// with three repeated `--lake` flags (bare path and `name=path` forms),
-/// per-request routing, a batch against a named lake, and a hot reload
-/// driven by `gent admin reload` — plus its failure mode.
+/// per-request routing at two named lakes, and a hot reload driven by
+/// `gent admin reload` — plus its failure mode.
 #[test]
-fn three_lake_daemon_routes_batches_and_reloads_via_cli() {
+fn three_lake_daemon_routes_and_reloads_via_cli() {
     let gen_dir = scratch("trio-suite");
     cli(&["generate", gen_dir.to_str().unwrap(), "--benchmark", "tp-tr-small", "--seed", "7"]);
     let alpha = scratch("alpha.gentlake");
@@ -687,29 +561,22 @@ fn three_lake_daemon_routes_batches_and_reloads_via_cli() {
         .collect();
     assert_eq!(names, ["alpha", "beta", "gamma"]);
 
-    // Route a reclaim and a batch at a *named* (non-default) lake.
+    // Route a reclaim at two *named* (non-default) lakes; they are copies
+    // of one snapshot, so the answers agree byte for byte.
     let mut source = csv::read_csv_file(&gen_dir.join("sources").join("S1.csv")).expect("source");
     assert!(ensure_key(&mut source));
     let table = gen_t::serve::table_to_json(&source);
-    let body = Json::Object(vec![
-        ("lake".to_string(), Json::str("gamma")),
-        ("source".to_string(), table.clone()),
-    ])
-    .render();
-    let (status, routed) = http(addr, "POST", "/reclaim", &body);
-    assert_eq!(status, 200, "{routed}");
-    let batch = Json::Object(vec![
-        ("lake".to_string(), Json::str("beta")),
-        (
-            "sources".to_string(),
-            Json::Array(vec![Json::Object(vec![("source".to_string(), table)])]),
-        ),
-    ])
-    .render();
-    let (status, batched) = http(addr, "POST", "/reclaim/batch", &batch);
-    assert_eq!(status, 200, "{batched}");
-    let v = Json::parse(&batched).unwrap();
-    assert_eq!(v.get("lake").and_then(Json::as_str), Some("beta"));
+    let [via_gamma, via_beta] = ["gamma", "beta"].map(|lake| {
+        let body = Json::Object(vec![
+            ("lake".to_string(), Json::str(lake)),
+            ("source".to_string(), table.clone()),
+        ])
+        .render();
+        let (status, routed) = http(addr, "POST", "/reclaim", &body);
+        assert_eq!(status, 200, "{lake}: {routed}");
+        without_timings(&routed)
+    });
+    assert_eq!(via_gamma, via_beta);
 
     // Hot-reload lake beta through the operator command; the daemon answers
     // with the bumped generation and `/lakes` agrees.
