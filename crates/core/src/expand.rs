@@ -50,16 +50,30 @@
 //! Expanded tables that fold to the same relation (same columns up to
 //! order, same row multiset) are deduplicated — different paths routinely
 //! produce identical joins, and the traversal would score each copy.
-//! Everything is counted in [`ExpandStats`] and surfaced as
+//! Every expansion is fingerprinted as it is joined (one add per index
+//! pair), compared with the earlier expansions of its shape, and a
+//! fingerprint match is confirmed by an exact comparison before anything
+//! is dropped. A memoized suffix join keeps its rows' fingerprint terms,
+//! folded the same way through its own pairs, so the joins stacked on it
+//! hash only its join and key columns — never the cells it copied.
+//!
+//! Nothing here hashes a [`Value`]: distinct sets, join keys, source-key
+//! hashes and fingerprint terms are all derived from the per-column cell
+//! hashes the tables' shared row storage holds
+//! ([`Table::column_hashes`]), so a lake table is hashed once per lake
+//! generation — not once per request — and only in the columns something
+//! asks for (`docs/matrix-arena.md`, "What is hashed, when, and for how
+//! long"). Everything is counted in [`ExpandStats`] and surfaced as
 //! `gent_expand_*` counters plus a per-candidate `expand_candidate` span.
 
 use crate::matrix::Rows;
 use gent_ops::{
-    inner_join_indexed, inner_join_indexed_capped, inner_join_pairs, join_layout, left_key_hashes,
-    JoinIndex, JoinLayout,
+    inner_join_indexed, inner_join_pairs, join_layout, left_key_hashes, JoinIndex, JoinLayout,
 };
 use gent_table::fxhash::FxHasher;
-use gent_table::{FxHashMap, FxHashSet, Schema, Table, Value};
+use gent_table::{
+    cell_hash_is_null_like, fold_cell_hash, FxHashMap, FxHashSet, Schema, Table, Value,
+};
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -67,44 +81,32 @@ use std::rc::Rc;
 /// Weight-comparison slack, shared with the reference DFS's tie handling.
 const EPS: f64 = 1e-12;
 
-/// Per-candidate distinct-value sets, one per column, built once up front.
-/// [`join_weight`] used to rebuild both sides' sets for **every pair** of
-/// candidates — `O(n² · cells)` hashing that dominated Expand's cost on
-/// real candidate sets (the whole-table traversal bench spent more time
-/// here than in every greedy round combined). The sets borrow the tables'
-/// values, so the cache costs one pass over each table and no clones.
-struct DistinctCache {
-    /// Per table, per column: the sorted, deduplicated FxHashes of the
-    /// column's non-null values. Containment intersects two sorted `u64`
-    /// runs with a linear merge — no per-probe re-hashing, no `Value`
-    /// comparisons. `Value`'s hash is consistent with its cross-type
-    /// equality, so equal values always share a hash; distinct values
-    /// colliding (~2⁻⁶⁴) can only nudge a heuristic edge weight, and both
-    /// engines share the same weights either way.
-    columns: Vec<Vec<Vec<u64>>>,
+/// The candidates' per-column distinct-value sets, as [`join_weight`]
+/// intersects them: [`Table::column_distinct_hashes`] — sorted `u64` runs
+/// borrowed from the tables' row storage, where they outlive the request —
+/// for every column whose name some *other* candidate also has. A column
+/// no one shares is on no join edge and is never asked for.
+///
+/// Containment intersects two runs with a linear merge: no `Value`
+/// comparisons, nothing hashed per pair. Equal values always share a hash;
+/// distinct values colliding (~2⁻⁶³) can only nudge a heuristic edge
+/// weight, and both engines share the same weights either way.
+struct DistinctCache<'t> {
+    /// Per table, per column: the run, or `None` for an unshared column.
+    columns: Vec<Vec<Option<&'t [u64]>>>,
 }
 
-/// FxHash of one cell value.
-fn value_hash(v: &Value) -> u64 {
-    let mut h = FxHasher::default();
-    v.hash(&mut h);
-    h.finish()
-}
-
-impl DistinctCache {
-    fn new(tables: &[Table]) -> DistinctCache {
+impl<'t> DistinctCache<'t> {
+    fn new(tables: &'t [Table]) -> DistinctCache<'t> {
+        let mut holders: FxHashMap<&str, usize> = FxHashMap::default();
+        for name in tables.iter().flat_map(|t| t.schema().columns()) {
+            *holders.entry(name).or_default() += 1;
+        }
         let columns = tables
             .iter()
             .map(|t| {
-                (0..t.n_cols())
-                    .map(|j| {
-                        let mut hs: Vec<u64> =
-                            t.column(j).filter(|v| !v.is_null_like()).map(value_hash).collect();
-                        hs.sort_unstable();
-                        hs.dedup();
-                        hs
-                    })
-                    .collect()
+                let shared = |(j, name)| (holders[name] > 1).then(|| t.column_distinct_hashes(j));
+                t.schema().columns().enumerate().map(shared).collect()
             })
             .collect();
         DistinctCache { columns }
@@ -116,7 +118,7 @@ impl DistinctCache {
 /// survives the join (standard cardinality-estimation style). Identical to
 /// recomputing the distinct sets per call (the overlap counts the same
 /// intersection, iterating whichever set is smaller).
-fn join_weight(a: (usize, &Table), b: (usize, &Table), cache: &DistinctCache) -> Option<f64> {
+fn join_weight(a: (usize, &Table), b: (usize, &Table), cache: &DistinctCache<'_>) -> Option<f64> {
     let common = a.1.schema().common_columns(b.1.schema());
     if common.is_empty() {
         return None;
@@ -125,11 +127,11 @@ fn join_weight(a: (usize, &Table), b: (usize, &Table), cache: &DistinctCache) ->
     for col in &common {
         let ai = a.1.schema().column_index(col).expect("common");
         let bi = b.1.schema().column_index(col).expect("common");
-        let av = &cache.columns[a.0][ai];
+        let av = cache.columns[a.0][ai].expect("a common column is shared");
         if av.is_empty() {
             continue;
         }
-        let bv = &cache.columns[b.0][bi];
+        let bv = cache.columns[b.0][bi].expect("a common column is shared");
         // Sorted-run intersection (both runs are distinct and ascending).
         let (mut i, mut j, mut shared) = (0usize, 0usize, 0usize);
         while i < av.len() && j < bv.len() {
@@ -298,12 +300,16 @@ fn best_paths(
 /// and the row order: two expanded tables equal under that identity
 /// produce identical alignment matrices (matrix construction keys rows by
 /// value and never reads column order, row order, or the table name), so
-/// scoring both is pure duplicate work. Detection is three-tier so unique
-/// tables — the overwhelming majority — never pay a row scan at all: the
-/// *shape* (sorted column names + row count) buckets tables for free, only
-/// shape collisions hash their rows into an order-independent fingerprint,
-/// and only fingerprint collisions run the exact multiset comparison, so a
-/// non-duplicate can never be dropped.
+/// scoring both is pure duplicate work. Detection has three tiers, and
+/// every expansion goes through the first two: its *shape* (sorted column
+/// names + row count) picks a bucket, its order-independent fingerprint —
+/// folded while the join's pairs are produced — is compared with the
+/// bucket's, and only a fingerprint match runs the exact multiset
+/// comparison ([`same_relation`]), so a non-duplicate can never be
+/// dropped. The fingerprint is eager because the shape test does not
+/// filter: more than half of a TP-TR Med pass's expansions share their
+/// shape with an earlier one (1 358 of ≈ 2 290), and without fingerprints
+/// each of those would be an exact comparison.
 ///
 /// The column permutation that sorts `schema`'s column names.
 fn sorted_order(schema: &Schema) -> Vec<usize> {
@@ -313,40 +319,54 @@ fn sorted_order(schema: &Schema) -> Vec<usize> {
     order
 }
 
-/// Seed for one column's (name, cell) pair hashes.
+/// Seed for one column's (name, cell) pair terms.
 fn column_seed(name: &str) -> u64 {
     let mut h = FxHasher::default();
     name.hash(&mut h);
     h.finish()
 }
 
-/// Hash of one (column, cell) pair, from the column's precomputed seed.
+/// The fingerprint term of one (column, cell) pair: the column's seed mixed
+/// with the cell's hash ([`Table::column_hashes`]) — a multiply and a
+/// shift, so the term is not linear in either and equal cells under
+/// different columns do not cancel.
 #[inline]
-fn pair_hash(seed: u64, v: &Value) -> u64 {
-    let mut h = FxHasher::default();
-    seed.hash(&mut h);
-    v.hash(&mut h);
-    h.finish()
+fn pair_term(seed: u64, cell: u64) -> u64 {
+    let x = (cell ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 29)
 }
 
-/// One row's term in the relation fingerprint: the wrapping sum of its
-/// (column-name, cell) pair hashes over `cols` (`seeds[k]` is
-/// `cols[k]`'s). A row *is* its set of (column, value) pairs, so the term
-/// is a true function of the row that ignores column order — and it
-/// splits along any column partition: a join output row's term is its
-/// left part's plus its right part's, which lets the join engine fold
-/// fingerprints from per-input-row precomputations instead of re-hashing
-/// every output cell.
-#[inline]
-fn row_sum(row: &[Value], cols: &[usize], seeds: &[u64]) -> u64 {
-    cols.iter().zip(seeds).fold(0u64, |acc, (&j, &s)| acc.wrapping_add(pair_hash(s, &row[j])))
-}
-
-/// Per-row fingerprint terms for the `cols` columns of every row of `t`.
+/// Per-row fingerprint terms for the `cols` columns of every row of `t`:
+/// the wrapping sum of the row's (column-name, cell) [`pair_term`]s. A row
+/// *is* its set of (column, value) pairs, so the term is a true function
+/// of the row that ignores column order — and it splits along any column
+/// partition: a join output row's term is its left part's plus its right
+/// part's, which lets the join engine fold fingerprints from
+/// per-input-row precomputations instead of reading every output cell.
+/// Column-major over cell hashes the table already holds: no `Value` is
+/// read.
 fn table_row_sums(t: &Table, cols: &[usize]) -> Vec<u64> {
-    let names: Vec<&str> = t.schema().columns().collect();
-    let seeds: Vec<u64> = cols.iter().map(|&j| column_seed(names[j])).collect();
-    t.rows().iter().map(|r| row_sum(r, cols, &seeds)).collect()
+    let mut sums = vec![0u64; t.n_rows()];
+    fold_terms(&mut sums, t, cols, u64::wrapping_add);
+    sums
+}
+
+/// [`table_row_sums`] over every column of `t`.
+fn all_column_sums(t: &Table) -> Vec<u64> {
+    let cols: Vec<usize> = (0..t.n_cols()).collect();
+    table_row_sums(t, &cols)
+}
+
+/// Fold the [`pair_term`]s of `t`'s `cols` columns into `sums`, one entry
+/// per row, with `op` — `wrapping_add` to build terms up, `wrapping_sub`
+/// to take columns back out of terms that already include them.
+fn fold_terms(sums: &mut [u64], t: &Table, cols: &[usize], op: fn(u64, u64) -> u64) {
+    for &j in cols {
+        let seed = column_seed(t.schema().column_name(j).expect("in range"));
+        for (sum, &cell) in sums.iter_mut().zip(t.column_hashes(j)) {
+            *sum = op(*sum, pair_term(seed, cell));
+        }
+    }
 }
 
 /// A whole table's relation fingerprint: the commutative `wrapping_add`
@@ -355,8 +375,7 @@ fn table_row_sums(t: &Table, cols: &[usize]) -> Vec<u64> {
 /// fingerprint equal; unequal ones collide only with ~2⁻⁶⁴ probability —
 /// and collisions are caught by [`same_relation`], never silently merged.
 fn relation_fingerprint(t: &Table) -> u64 {
-    let cols: Vec<usize> = (0..t.n_cols()).collect();
-    table_row_sums(t, &cols).into_iter().fold(0u64, |acc, s| acc.wrapping_add(s | 1))
+    all_column_sums(t).into_iter().fold(0u64, |acc, s| acc.wrapping_add(s | 1))
 }
 
 /// Exact relation equality (callers pre-check equal sorted column names):
@@ -389,17 +408,19 @@ fn same_relation(a: &impl Rows, b: &impl Rows) -> bool {
 /// `customer ⋈ lineitem` joined before the start that would have filtered
 /// it can hold hundreds of thousands of rows none of which survive the
 /// final join. A blow-up past this cap is vetoed from the join's index
-/// pairs, before any row is built
-/// ([`gent_ops::inner_join_indexed_capped`]), and keeps the whole
-/// path on the left-fold route ([`JoinEngine::join_path_folded`]) — the
+/// pairs, before any row is built ([`gent_ops::inner_join_pairs`]'
+/// `max_pairs`), and keeps the whole path on the left-fold route ([`JoinEngine::join_path_folded`]) — the
 /// reference's own evaluation order, hence byte-identical output.
 const SUFFIX_FANOUT_CAP: usize = 8;
 
 enum MemoEntry {
     /// A one-table suffix: the candidate itself, by index.
     Base(usize),
-    /// A folded multi-table suffix.
-    Joined(Table),
+    /// A folded multi-table suffix, with its rows' fingerprint terms over
+    /// all its columns — folded from its two inputs' terms through the
+    /// join's index pairs (the terms split along the column partition), so
+    /// the joined cells are never hashed for them.
+    Joined(Table, Vec<u64>),
     /// The fold failed (no common columns somewhere in the chain);
     /// negative results are memoized too, so a failing chain fails once.
     Failed,
@@ -415,13 +436,29 @@ impl MemoEntry {
     fn table<'a>(&'a self, candidates: &'a [Table]) -> Option<&'a Table> {
         match self {
             MemoEntry::Base(i) => Some(&candidates[*i]),
-            MemoEntry::Joined(t) => Some(t),
+            MemoEntry::Joined(t, _) => Some(t),
             MemoEntry::Failed | MemoEntry::Oversize => None,
+        }
+    }
+
+    /// Per-row fingerprint terms of the suffix's `table` over the columns
+    /// a join against it appends (`layout.rextra`: all but the join
+    /// columns). A folded suffix takes the join columns back out of the
+    /// terms it carries — their cell hashes are the ones the join's index
+    /// is built from — and hashes no other column.
+    fn extra_sums(&self, table: &Table, layout: &JoinLayout) -> Vec<u64> {
+        match self {
+            MemoEntry::Joined(_, terms) => {
+                let mut sums = terms.clone();
+                fold_terms(&mut sums, table, &layout.rcols, u64::wrapping_sub);
+                sums
+            }
+            _ => table_row_sums(table, &layout.rextra),
         }
     }
 }
 
-/// One table's per-row source-key hashes ([`Rows::key_hash`]), shared
+/// One table's per-row source-key hashes ([`Rows::key_hashes`]), shared
 /// between the engine's cache and every view over that table.
 type KeyHashes = Rc<[Option<u64>]>;
 
@@ -459,12 +496,26 @@ impl Rows for JoinView {
             Some(k) => &self.right.rows()[ri as usize][self.layout.rextra[k]],
         }
     }
-    #[inline]
-    fn key_hash(&self, i: usize, key_cols: &[usize]) -> Option<u64> {
-        match &self.right_key_hashes {
-            Some(hashes) => hashes[self.pairs[i].1 as usize],
-            None => crate::matrix::hash_key(key_cols.iter().map(|&k| self.cell(i, k))),
+    fn key_hashes(&self, key_cols: &[usize]) -> Vec<Option<u64>> {
+        if let Some(hashes) = &self.right_key_hashes {
+            return self.pairs.iter().map(|&(_, ri)| hashes[ri as usize]).collect();
         }
+        // Every key cell is a copy of one input row's cell: fold the
+        // inputs' cell hashes as [`Table::key_hashes`] would the rows'.
+        let cells: Vec<(bool, &[u64])> = key_cols
+            .iter()
+            .map(|&k| match k.checked_sub(self.left.n_cols()) {
+                None => (true, self.left.column_hashes(k)),
+                Some(x) => (false, self.right.column_hashes(self.layout.rextra[x])),
+            })
+            .collect();
+        let key_hash = |&(li, ri): &(u32, u32)| {
+            cells.iter().try_fold(0u64, |acc, &(from_left, hashes)| {
+                let cell = hashes[if from_left { li } else { ri } as usize];
+                (!cell_hash_is_null_like(cell)).then(|| fold_cell_hash(acc, cell))
+            })
+        };
+        self.pairs.iter().map(key_hash).collect()
     }
 }
 
@@ -520,11 +571,10 @@ impl Rows for Expansion {
             Expansion::View(v) => v.cell(i, j),
         }
     }
-    #[inline]
-    fn key_hash(&self, i: usize, key_cols: &[usize]) -> Option<u64> {
+    fn key_hashes(&self, key_cols: &[usize]) -> Vec<Option<u64>> {
         match self {
-            Expansion::Table(t) => Rows::key_hash(t, i, key_cols),
-            Expansion::View(v) => v.key_hash(i, key_cols),
+            Expansion::Table(t) => Rows::key_hashes(t, key_cols),
+            Expansion::View(v) => v.key_hashes(key_cols),
         }
     }
 }
@@ -540,15 +590,17 @@ struct JoinEngine<'t> {
     /// join columns depend on the *left* schema's column order, so they are
     /// part of the key.
     indexes: FxHashMap<(Vec<usize>, Vec<usize>), JoinIndex>,
-    /// Start-candidate index → per-row fingerprint terms over all its
-    /// columns (the left half of every final join's rows).
+    /// Candidate index → per-row fingerprint terms over all its columns
+    /// (the left half of every join's rows: a start's final join, a suffix
+    /// head's fold).
     left_sums: FxHashMap<usize, Vec<u64>>,
-    /// (start-candidate index, left join columns) → per-row join-key
-    /// hashes, shared by every path this start probes over that column
-    /// set (the key hash ignores the right table entirely).
+    /// (candidate index, left join columns) → per-row join-key hashes,
+    /// shared by every join this candidate is the left side of over that
+    /// column set (the key hash ignores the right table entirely).
     left_hashes: FxHashMap<(usize, Vec<usize>), Vec<Option<u64>>>,
     /// (right suffix path, right join columns) → per-row fingerprint terms
-    /// over that join's extra (non-common) right columns.
+    /// over that join's extra (non-common) right columns
+    /// ([`MemoEntry::extra_sums`]).
     right_sums: FxHashMap<(Vec<usize>, Vec<usize>), Vec<u64>>,
     /// Right suffix path → its table's per-row source-key hashes (`None`
     /// when that table lacks a source key column) — what a [`JoinView`]
@@ -574,8 +626,8 @@ impl<'t> JoinEngine<'t> {
     /// through the memo and stopping short of the last join's rows (a
     /// [`JoinView`]), together with the join's relation fingerprint. Each
     /// joined row's term is the sum of its left row's and its right row's
-    /// precomputed terms ([`row_sum`] splits along the column partition),
-    /// so the fold costs one add per pair and reads no cell. Returns
+    /// precomputed terms ([`table_row_sums`] splits along the column
+    /// partition), so the fold costs one add per pair and reads no cell. Returns
     /// `None` when any join in the chain fails.
     fn join_path(
         &mut self,
@@ -592,13 +644,11 @@ impl<'t> JoinEngine<'t> {
         if matches!(self.memo.get(path), Some(MemoEntry::Oversize)) {
             return self.join_path_folded(start, path);
         }
-        let right = self.memo.get(path).expect("just ensured").table(self.candidates)?;
+        let entry = self.memo.get(path).expect("just ensured");
+        let right = entry.table(self.candidates)?;
         let layout = join_layout(left, right).ok()?;
         let (lcols, rcols) = (&layout.lcols, &layout.rcols);
-        let lsums = self.left_sums.entry(start).or_insert_with(|| {
-            let cols: Vec<usize> = (0..left.n_cols()).collect();
-            table_row_sums(left, &cols)
-        });
+        let lsums = self.left_sums.entry(start).or_insert_with(|| all_column_sums(left));
         let lhashes = self
             .left_hashes
             .entry((start, lcols.clone()))
@@ -606,7 +656,7 @@ impl<'t> JoinEngine<'t> {
         let rsums = self
             .right_sums
             .entry((path.to_vec(), rcols.clone()))
-            .or_insert_with(|| table_row_sums(right, &layout.rextra));
+            .or_insert_with(|| entry.extra_sums(right, &layout));
         // Key-hash handoff: with no key column on the left, a joined row's
         // key cells are copies of its right row's, and so is their hash.
         let right_key_hashes = if key_names.iter().any(|k| left.schema().contains(k)) {
@@ -617,7 +667,7 @@ impl<'t> JoinEngine<'t> {
                 .or_insert_with(|| {
                     let ckey: Option<Vec<usize>> =
                         key_names.iter().map(|k| right.schema().column_index(k)).collect();
-                    ckey.map(|ckey| (0..right.n_rows()).map(|i| right.key_hash(i, &ckey)).collect())
+                    ckey.map(|ckey| Rows::key_hashes(right, &ckey).into())
                 })
                 .clone()
         };
@@ -668,26 +718,42 @@ impl<'t> JoinEngine<'t> {
                 // An oversize tail keeps every chain through it folded.
                 MemoEntry::Oversize
             } else {
-                let left = &self.candidates[suffix[0]];
-                let right = self
-                    .memo
-                    .get(&suffix[1..])
-                    .expect("built shortest-first")
-                    .table(self.candidates);
-                match right.and_then(|r| join_layout(left, r).ok().map(|l| (r, l.rcols))) {
+                let (head, tail) = (suffix[0], &suffix[1..]);
+                let left = &self.candidates[head];
+                let tail_entry = self.memo.get(tail).expect("built shortest-first");
+                let right = tail_entry.table(self.candidates);
+                match right.and_then(|r| join_layout(left, r).ok().map(|l| (r, l))) {
                     None => MemoEntry::Failed,
-                    Some((r, rcols)) => {
+                    Some((r, layout)) => {
+                        let (lcols, rcols) = (&layout.lcols, &layout.rcols);
                         let index = self
                             .indexes
-                            .entry((suffix[1..].to_vec(), rcols.clone()))
-                            .or_insert_with(|| JoinIndex::build(r, &rcols));
+                            .entry((tail.to_vec(), rcols.clone()))
+                            .or_insert_with(|| JoinIndex::build(r, rcols));
+                        let lhashes = self
+                            .left_hashes
+                            .entry((head, lcols.clone()))
+                            .or_insert_with(|| left_key_hashes(left, lcols));
                         let cap = SUFFIX_FANOUT_CAP * (left.n_rows() + r.n_rows());
-                        match inner_join_indexed_capped(left, r, index, cap) {
-                            Err(_) => MemoEntry::Failed,
-                            Ok(None) => MemoEntry::Oversize,
-                            Ok(Some(t)) => {
-                                materialised(t.n_rows());
-                                MemoEntry::Joined(t)
+                        match inner_join_pairs(left, r, lcols, index, lhashes, cap) {
+                            None => MemoEntry::Oversize,
+                            Some(pairs) => {
+                                materialised(pairs.len());
+                                let lsums = self
+                                    .left_sums
+                                    .entry(head)
+                                    .or_insert_with(|| all_column_sums(left));
+                                let rsums = self
+                                    .right_sums
+                                    .entry((tail.to_vec(), rcols.clone()))
+                                    .or_insert_with(|| tail_entry.extra_sums(r, &layout));
+                                let terms = pairs
+                                    .iter()
+                                    .map(|&(li, ri)| {
+                                        lsums[li as usize].wrapping_add(rsums[ri as usize])
+                                    })
+                                    .collect();
+                                MemoEntry::Joined(layout.table(left, r, &pairs), terms)
                             }
                         }
                     }
@@ -1177,10 +1243,66 @@ mod tests {
     }
 
     #[test]
+    fn suffix_terms_folded_through_pairs_match_the_joined_rows() {
+        // F → M2 → M1 → A: the suffixes [M1, A] and [M2, M1, A] are folded
+        // joins (the second over the first), with fan-out, a null and a
+        // cross-type equal key on the way. Each carries its rows' terms
+        // folded through its pairs; they must equal the terms of the rows
+        // it built, and what a join against it reads (`extra_sums`) the
+        // terms of the appended columns.
+        let a = Table::build(
+            "A",
+            &["ID", "x1"],
+            &[],
+            vec![
+                vec![V::Int(0), V::Int(1)],
+                vec![V::Int(1), V::Float(1.0)],
+                vec![V::Int(2), V::Null],
+            ],
+        )
+        .unwrap();
+        let m1 = Table::build(
+            "M1",
+            &["x1", "x2"],
+            &[],
+            vec![vec![V::Int(1), V::Int(2)], vec![V::Float(1.0), V::str("two")]],
+        )
+        .unwrap();
+        let m2 = Table::build(
+            "M2",
+            &["x2", "x3"],
+            &[],
+            vec![
+                vec![V::Int(2), V::Int(3)],
+                vec![V::str("two"), V::Int(3)],
+                vec![V::Null, V::Int(4)],
+            ],
+        )
+        .unwrap();
+        let far = Table::build("F", &["x3", "v"], &[], vec![vec![V::Int(3), V::Int(9)]]).unwrap();
+        let cands = vec![a, m1, m2, far];
+        let mut stats = ExpandStats::default();
+        let mut engine = JoinEngine::new(&cands);
+        let (joined, fp) = engine.join_path(3, &[2, 1, 0], &["ID"], &mut stats).expect("joins");
+        assert_eq!(joined.n_rows(), 4, "two x2 routes, each meeting both rows with x1 = 1");
+        assert_eq!(fp, relation_fingerprint(&joined.to_table()));
+        let mut folded = 0;
+        for (suffix, entry) in &engine.memo {
+            let MemoEntry::Joined(t, terms) = entry else { continue };
+            folded += 1;
+            assert_eq!(terms, &all_column_sums(t), "{}", t.name());
+            // The table the path joins against this suffix: the one before it.
+            let layout = join_layout(&cands[suffix[0] + 1], t).expect("consecutive tables join");
+            assert_eq!(entry.extra_sums(t, &layout), table_row_sums(t, &layout.rextra));
+        }
+        assert_eq!(folded, 2, "[M1, A] and [M2, M1, A]");
+    }
+
+    #[test]
     fn key_hash_handoff_matches_fresh_hashes() {
-        // Keyless starts joined through A answer `Rows::key_hash` from
-        // their right row's precomputed source-key hash; each must equal
-        // hashing the joined row's key cells from scratch.
+        // Keyless starts joined through A answer `Rows::key_hashes` from
+        // their right rows' precomputed source-key hashes; each must equal
+        // the hash of the joined row's own key cells.
         let cands = candidates();
         let (expansions, _) = expand_views(&cands, &["ID"], 3);
         let mut handed = 0;
@@ -1188,9 +1310,7 @@ mod tests {
             let t = e.to_table();
             let ckey = vec![t.schema().column_index("ID").expect("expansions carry the key")];
             assert_eq!(e.n_rows(), t.n_rows(), "one pair per row of {}", t.name());
-            for i in 0..t.n_rows() {
-                assert_eq!(e.key_hash(i, &ckey), t.key_hash(i, &ckey), "row {i} of {}", t.name());
-            }
+            assert_eq!(e.key_hashes(&ckey), Rows::key_hashes(&t, &ckey), "{}", t.name());
             if let Expansion::View(v) = e {
                 handed += usize::from(v.right_key_hashes.is_some());
             }

@@ -140,22 +140,6 @@ fn packed_score(tuple: &[u64], weight: &[u64]) -> i64 {
     tuple.iter().zip(weight.iter()).map(|(&w, &m)| word_score(w, m)).sum()
 }
 
-/// FxHash of a row's key cells; `None` if any is null-like (nulls never
-/// align tuples — the same rule as [`Table::key_from_row`]). `Value`'s
-/// `Hash` is consistent with its cross-type equality, so equal keys always
-/// hash equal; unequal keys sharing a hash are filtered by the probe.
-pub(crate) fn hash_key<'v>(cells: impl Iterator<Item = &'v Value>) -> Option<u64> {
-    use std::hash::{Hash, Hasher};
-    let mut h = gent_table::fxhash::FxHasher::default();
-    for v in cells {
-        if v.is_null_like() {
-            return None;
-        }
-        v.hash(&mut h);
-    }
-    Some(h.finish())
-}
-
 /// What alignment reads of a candidate: a schema and cells by position.
 /// [`Table`] has rows; an expansion Expand has only joined as row-index
 /// pairs (`expand::JoinView`) answers from its two input tables, so it is
@@ -167,12 +151,12 @@ pub(crate) trait Rows {
     fn n_rows(&self) -> usize;
     /// The cell at row `i`, column `j`.
     fn cell(&self, i: usize, j: usize) -> &Value;
-    /// [`hash_key`] of row `i`'s `key_cols` cells — overridden where it is
-    /// known without hashing (a joined row's key cells are copies of one
-    /// input row's).
-    fn key_hash(&self, i: usize, key_cols: &[usize]) -> Option<u64> {
-        hash_key(key_cols.iter().map(|&k| self.cell(i, k)))
-    }
+    /// Per row, the hash of its `key_cols` cells — a fold of their cell
+    /// hashes ([`Table::key_hashes`], the source side's definition too) —
+    /// or `None` if any is null-like (nulls never align tuples; the same
+    /// rule as [`Table::key_from_row`]). Equal keys always hash equal;
+    /// unequal keys sharing a hash are filtered by the probe.
+    fn key_hashes(&self, key_cols: &[usize]) -> Vec<Option<u64>>;
 }
 
 impl Rows for Table {
@@ -185,6 +169,9 @@ impl Rows for Table {
     #[inline]
     fn cell(&self, i: usize, j: usize) -> &Value {
         &self.rows()[i][j]
+    }
+    fn key_hashes(&self, key_cols: &[usize]) -> Vec<Option<u64>> {
+        Table::key_hashes(self, key_cols, true)
     }
 }
 
@@ -272,16 +259,14 @@ impl AlignmentMatrix {
         let mut slot: FxHashMap<u64, u32> =
             FxHashMap::with_capacity_and_hasher(n_rows, Default::default());
         let mut next = vec![u32::MAX; n_rows];
-        for (si, chained) in next.iter_mut().enumerate() {
-            if let Some(h) = source.key_hash(si, skey) {
-                if let Some(earlier) = slot.insert(h, si as u32) {
-                    *chained = earlier;
-                }
+        for (si, h) in Rows::key_hashes(source, skey).into_iter().enumerate() {
+            if let Some(earlier) = h.and_then(|h| slot.insert(h, si as u32)) {
+                next[si] = earlier;
             }
         }
         let mut hits: Vec<(u32, u32)> = Vec::new();
-        for ci in 0..candidate.n_rows() {
-            let Some(h) = candidate.key_hash(ci, &ckey) else { continue };
+        for (ci, h) in candidate.key_hashes(&ckey).into_iter().enumerate() {
+            let Some(h) = h else { continue };
             let mut si = slot.get(&h).copied().unwrap_or(u32::MAX);
             while si != u32::MAX {
                 let srow = &source.rows()[si as usize];

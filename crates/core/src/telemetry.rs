@@ -63,6 +63,14 @@ pub(crate) struct Instruments {
     /// traversal did build: suffix-memo folds, oversize left folds, and the
     /// expansions the rounds selected.
     pub expand_rows_materialised: Arc<Counter>,
+    /// `gent_expand_columns_hashed_total` — column facts (cell hashes,
+    /// distinct runs) Expand and matrix alignment asked a table for and
+    /// that call had to compute: a lake column's first use in its
+    /// generation, or a table built inside the request.
+    pub expand_columns_hashed: Arc<Counter>,
+    /// `gent_expand_columns_reused_total` — column facts found on the
+    /// table's row storage, computed by an earlier call or request.
+    pub expand_columns_reused: Arc<Counter>,
 }
 
 /// The process-wide instrument set (registered on first use).
@@ -148,6 +156,16 @@ pub(crate) fn instruments() -> &'static Instruments {
             expand_rows_materialised: reg.counter(
                 "gent_expand_rows_materialised_total",
                 "Joined rows built: suffix-memo folds, oversize folds, selected expansions",
+                &[],
+            ),
+            expand_columns_hashed: reg.counter(
+                "gent_expand_columns_hashed_total",
+                "Column facts (cell hashes, distinct runs) computed by the call that asked",
+                &[],
+            ),
+            expand_columns_reused: reg.counter(
+                "gent_expand_columns_reused_total",
+                "Column facts found on the table's shared row storage",
                 &[],
             ),
         }

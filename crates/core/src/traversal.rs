@@ -77,6 +77,9 @@ pub fn matrix_traversal(
     let (expansions, expand_stats) = {
         let ins = crate::telemetry::instruments();
         let _span = gent_obs::span_timed("expand", ins.stage_expand.clone());
+        // Everything below that hashes reads the tables' column facts, on
+        // this thread: the tally's growth is this request's share.
+        let facts_before = gent_table::column_facts_tally();
         let (expansions, stats) = expand_views(candidates, &key_names, cfg.expand_max_depth);
         for (i, e) in expansions.iter().enumerate() {
             if let Expansion::View(v) = e {
@@ -89,10 +92,23 @@ pub fn matrix_traversal(
                 matrices.push(m);
             }
         }
+        let facts = gent_table::column_facts_tally();
+        ins.expand_columns_hashed.add(facts.computed - facts_before.computed);
+        ins.expand_columns_reused.add(facts.found - facts_before.found);
         (expansions, stats)
     };
-    let originating =
-        |chosen: &[usize]| chosen.iter().map(|&i| expansions[tables[i]].to_table()).collect();
+    // The chosen expansions as rows, in selection order. What the rounds
+    // passed over is released first, and each chosen expansion as soon as
+    // its rows exist: the memoized suffix joins that only unchosen views
+    // pinned are gone before a chosen row is built, so the rows replace
+    // the views instead of standing beside all of them.
+    let originating = |chosen: &[usize]| -> Vec<Table> {
+        let mut slots: Vec<Option<Expansion>> = expansions.into_iter().map(Some).collect();
+        let picked: Vec<Expansion> =
+            chosen.iter().map(|&i| slots[tables[i]].take().expect("selected once")).collect();
+        drop(slots);
+        picked.into_iter().map(|e| e.to_table()).collect()
+    };
     if tables.is_empty() {
         return TraversalOutcome {
             originating: Vec::new(),

@@ -112,35 +112,22 @@ fn dangling_right(
 
 /// The per-row join-key hashes of a join's **left** side: `hashes[i]` is
 /// `Some(hash)` of row `i`'s `lcols` cells, or `None` when the key holds a
-/// plain null (null keys never match). The hash function is the one
-/// [`JoinIndex`] probes with, so [`inner_join_pairs`] accepts the result — a
-/// left table joined against many right
-/// tables over the same column set (Expand's path engine) hashes its rows
-/// once instead of once per join.
+/// plain null (null keys never match). It is a fold of the columns' cell
+/// hashes ([`Table::key_hashes`]) — the fold [`JoinIndex::build`] groups the
+/// right side by — so nothing is hashed here that the table's row storage
+/// already holds, and a left table joined against many right tables over the
+/// same column set (Expand's path engine) folds its rows once.
 pub fn left_key_hashes(left: &Table, lcols: &[usize]) -> Vec<Option<u64>> {
-    let mut key: Vec<&Value> = Vec::with_capacity(lcols.len());
-    left.rows()
-        .iter()
-        .map(|lrow| {
-            key.clear();
-            for &c in lcols {
-                if lrow[c].is_null() {
-                    return None;
-                }
-                key.push(&lrow[c]);
-            }
-            Some(hash_join_key(&key))
-        })
-        .collect()
+    left.key_hashes(lcols, false)
 }
 
-/// A reusable row index over one join's right side: the right table's rows
-/// grouped by their join-key values, hashed once.
+/// A reusable row index over one join's right side: the right table's row
+/// numbers, rows with equal join keys adjacent.
 ///
-/// [`inner_join`] rebuilds this grouping on every call — `O(rows · key
+/// [`inner_join`] regroups the right side on every call — `O(rows · key
 /// width)` hashing that Expand's path folds used to pay again for **every**
 /// path sharing a right table. Building the index once and passing it to
-/// [`inner_join_indexed`] amortises the hashing across all joins against
+/// [`inner_join_indexed`] amortises the grouping across all joins against
 /// the same `(right table, join columns)` pair.
 ///
 /// The index stores only hashes and row numbers (no cloned values): a
@@ -150,21 +137,15 @@ pub fn left_key_hashes(left: &Table, lcols: &[usize]) -> Vec<Option<u64>> {
 pub struct JoinIndex {
     /// The right-side join columns this index groups by.
     rcols: Vec<usize>,
-    /// Key hash → row groups (each ascending); groups whose keys collide
-    /// on the hash live in the same bucket and are told apart by comparing
-    /// against the group's first row.
-    buckets: FxHashMap<u64, Vec<Vec<usize>>>,
-}
-
-/// One deterministic hash of a join-key value sequence (build and probe
-/// must agree; nothing else depends on the choice of hasher — Fx because
-/// the probe runs once per left row and SipHash dominates it on wide
-/// joins).
-fn hash_join_key(key: &[&Value]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = gent_table::fxhash::FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
+    /// The rows with a non-null join key, sorted by (key hash, row) and
+    /// then split so that every *group* — rows with equal keys — is one
+    /// ascending run.
+    rows: Vec<u32>,
+    /// Key hash → the first group with that hash, as a range of `rows`.
+    groups: FxHashMap<u64, (u32, u32)>,
+    /// Further groups whose keys collide with an earlier group's hash, as
+    /// `(hash, start, end)` in hash order. Empty unless FxHash collides.
+    collisions: Vec<(u64, u32, u32)>,
 }
 
 impl JoinIndex {
@@ -172,25 +153,76 @@ impl JoinIndex {
     /// key are excluded — null keys never match). `rcols` must be the
     /// [`JoinLayout::rcols`] of the join this index will serve.
     pub fn build(right: &Table, rcols: &[usize]) -> JoinIndex {
-        let mut buckets: FxHashMap<u64, Vec<Vec<usize>>> = FxHashMap::default();
-        for (key, rows) in group_by_columns(right, rcols) {
-            buckets.entry(hash_join_key(&key)).or_default().push(rows);
-        }
-        JoinIndex { rcols: rcols.to_vec(), buckets }
+        Self::from_hashes(right, rcols, &right.key_hashes(rcols, false))
     }
 
-    /// The right rows matching `key` (ascending), or `None`. `hash` must be
-    /// `hash_join_key(key)` — callers with cached left-side hashes (see
-    /// [`left_key_hashes`]) pass it instead of re-hashing.
-    fn matches_hashed(&self, right: &Table, hash: u64, key: &[&Value]) -> Option<&[usize]> {
-        let groups = self.buckets.get(&hash)?;
-        groups
-            .iter()
-            .find(|rows| {
-                let probe = &right.rows()[rows[0]];
-                self.rcols.iter().zip(key.iter()).all(|(&c, &v)| &probe[c] == v)
-            })
-            .map(|rows| rows.as_slice())
+    /// [`JoinIndex::build`] from the per-row key hashes (`None` = null
+    /// key). Rows are sorted by hash, and each run of one hash is checked
+    /// against its first row: a run of equal keys — every run, short of a
+    /// hash collision — is one group as it stands, and a run that mixes
+    /// keys is split into one group per key, so a lookup never returns a
+    /// row that only shares the hash.
+    fn from_hashes(right: &Table, rcols: &[usize], hashes: &[Option<u64>]) -> JoinIndex {
+        assert!(right.n_rows() <= u32::MAX as usize, "row index past u32");
+        let same_key = |a: u32, b: u32| {
+            let (a, b) = (&right.rows()[a as usize], &right.rows()[b as usize]);
+            rcols.iter().all(|&c| a[c] == b[c])
+        };
+        let mut keyed: Vec<(u64, u32)> =
+            hashes.iter().enumerate().filter_map(|(i, h)| h.map(|h| (h, i as u32))).collect();
+        keyed.sort_unstable();
+        let mut rows: Vec<u32> = Vec::with_capacity(keyed.len());
+        let mut groups: FxHashMap<u64, (u32, u32)> = FxHashMap::default();
+        let mut collisions: Vec<(u64, u32, u32)> = Vec::new();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let (hash, lead) = run[0];
+            let mut pending: Vec<u32> = Vec::new();
+            let start = rows.len() as u32;
+            for &(_, r) in run {
+                if r == lead || same_key(lead, r) {
+                    rows.push(r);
+                } else {
+                    pending.push(r);
+                }
+            }
+            groups.insert(hash, (start, rows.len() as u32));
+            // A hash collision: peel one more group per pass off what is
+            // left, each led by its lowest row.
+            while let Some(&lead) = pending.first() {
+                let start = rows.len() as u32;
+                pending.retain(|&r| {
+                    let same = r == lead || same_key(lead, r);
+                    if same {
+                        rows.push(r);
+                    }
+                    !same
+                });
+                collisions.push((hash, start, rows.len() as u32));
+            }
+        }
+        JoinIndex { rcols: rcols.to_vec(), rows, groups, collisions }
+    }
+
+    /// The right rows whose join key equals left row `lrow`'s `lcols` cells
+    /// (ascending), or `None`. `hash` must be that key's entry of
+    /// [`left_key_hashes`].
+    fn matches(&self, right: &Table, hash: u64, lrow: &[Value], lcols: &[usize]) -> Option<&[u32]> {
+        let is_match = |&(start, _): &(u32, u32)| {
+            let probe = &right.rows()[self.rows[start as usize] as usize];
+            self.rcols.iter().zip(lcols).all(|(&rc, &lc)| probe[rc] == lrow[lc])
+        };
+        let first = self.groups.get(&hash)?;
+        let (start, end) = if is_match(first) {
+            *first
+        } else {
+            let from = self.collisions.partition_point(|c| c.0 < hash);
+            self.collisions[from..]
+                .iter()
+                .take_while(|c| c.0 == hash)
+                .map(|c| (c.1, c.2))
+                .find(|g| is_match(g))?
+        };
+        Some(&self.rows[start as usize..end as usize])
     }
 }
 
@@ -211,20 +243,17 @@ pub fn inner_join_pairs(
     max_pairs: usize,
 ) -> Option<Vec<(u32, u32)>> {
     debug_assert_eq!(hashes.len(), left.n_rows(), "hashes built for a different left");
-    assert!(left.n_rows().max(right.n_rows()) <= u32::MAX as usize, "row index past u32");
+    assert!(left.n_rows() <= u32::MAX as usize, "row index past u32");
     let mut pairs = Vec::new();
-    let mut key = Vec::with_capacity(lcols.len());
     for (li, lrow) in left.rows().iter().enumerate() {
         let Some(hash) = hashes[li] else {
             continue; // null join key — never matches
         };
-        key.clear();
-        key.extend(lcols.iter().map(|&c| &lrow[c]));
-        if let Some(matches) = index.matches_hashed(right, hash, &key) {
+        if let Some(matches) = index.matches(right, hash, lrow, lcols) {
             if pairs.len() + matches.len() > max_pairs {
                 return None;
             }
-            pairs.extend(matches.iter().map(|&ri| (li as u32, ri as u32)));
+            pairs.extend(matches.iter().map(|&ri| (li as u32, ri)));
         }
     }
     Some(pairs)
@@ -233,31 +262,20 @@ pub fn inner_join_pairs(
 /// [`inner_join`] against a prebuilt [`JoinIndex`] over `right` — the
 /// result is byte-identical (same schema, same row order, same name);
 /// only the right-side hashing is amortised. The index must have been
-/// built from this `right` over this join's [`JoinLayout::rcols`].
+/// built from this `right` over this join's [`JoinLayout::rcols`]. The
+/// join is probed as index pairs and its rows built from them; a caller
+/// that may not want the rows (an output budget, a view) stops at
+/// [`inner_join_pairs`].
 pub fn inner_join_indexed(
     left: &Table,
     right: &Table,
     index: &JoinIndex,
 ) -> Result<Table, OpError> {
-    Ok(inner_join_indexed_capped(left, right, index, usize::MAX)?.expect("no cap"))
-}
-
-/// [`inner_join_indexed`] with an output budget: `Ok(None)` when the join
-/// would hold more than `max_rows` rows. The join is probed as index pairs
-/// first and its rows are built only if it fits, so callers that might
-/// *not* want a join (because its output would dwarf its inputs, e.g. the
-/// Expand engine's oversize veto) pay a veto no rows at all.
-pub fn inner_join_indexed_capped(
-    left: &Table,
-    right: &Table,
-    index: &JoinIndex,
-    max_rows: usize,
-) -> Result<Option<Table>, OpError> {
     let layout = join_layout(left, right)?;
     debug_assert_eq!(layout.rcols, index.rcols, "index built for a different join");
     let hashes = left_key_hashes(left, &layout.lcols);
-    let pairs = inner_join_pairs(left, right, &layout.lcols, index, &hashes, max_rows);
-    Ok(pairs.map(|pairs| layout.table(left, right, &pairs)))
+    let pairs = inner_join_pairs(left, right, &layout.lcols, index, &hashes, usize::MAX);
+    Ok(layout.table(left, right, &pairs.expect("no cap")))
 }
 
 /// Natural inner join (⋈) on the common columns.
@@ -470,9 +488,12 @@ mod tests {
         );
         assert_eq!(plain.rows(), indexed.rows(), "row content and order must match");
         // The budget is on the output: exactly fitting joins, one less vetoes.
-        let fits = inner_join_indexed_capped(&l, &r, &idx, plain.n_rows()).unwrap();
+        let layout = join_layout(&l, &r).unwrap();
+        let hashes = left_key_hashes(&l, &layout.lcols);
+        let pairs = |cap| inner_join_pairs(&l, &r, &layout.lcols, &idx, &hashes, cap);
+        let fits = pairs(plain.n_rows()).map(|pairs| layout.table(&l, &r, &pairs));
         assert_eq!(fits.as_ref().map(Table::rows), Some(plain.rows()));
-        assert!(inner_join_indexed_capped(&l, &r, &idx, plain.n_rows() - 1).unwrap().is_none());
+        assert!(pairs(plain.n_rows() - 1).is_none());
     }
 
     #[test]
@@ -535,5 +556,131 @@ mod tests {
         assert_eq!(j.n_rows(), 1);
         assert_eq!(j.row(0).unwrap()[2], V::str("y"));
         assert_eq!(j.row(0).unwrap()[3], V::str("z"));
+    }
+
+    mod index_prop {
+        //! [`JoinIndex`] ≡ [`inner_join`] — rows, order, name — over
+        //! generated tables with cross-type equal keys (`Int(1)` /
+        //! `Float(1.0)`), plain and labeled nulls, duplicate and
+        //! multi-column keys and empty sides; and again with the key hashes
+        //! of both sides squeezed into a few values, so the runs that mix
+        //! keys — which real hashes all but never produce — are split on
+        //! every case.
+
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// A join-key cell from a small domain, so keys repeat and meet.
+        fn key_cell() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                1 => Just(Value::Null),
+                1 => (0u64..2).prop_map(Value::LabeledNull),
+                3 => (0i64..3).prop_map(Value::Int),
+                2 => (0i64..3).prop_map(|i| Value::Float(i as f64)),
+                1 => Just(Value::Float(0.5)),
+                2 => "[ab]{1}".prop_map(Value::str),
+            ]
+        }
+
+        /// `name(k1, [k2,] extra)` with 0–7 rows; `wide` adds `k2`.
+        fn side(
+            name: &'static str,
+            extra: &'static str,
+            wide: bool,
+        ) -> impl Strategy<Value = Table> {
+            let n_keys = 1 + usize::from(wide);
+            proptest::collection::vec(proptest::collection::vec(key_cell(), n_keys), 0..8).prop_map(
+                move |keys| {
+                    let mut cols = vec!["k1"];
+                    cols.extend(wide.then_some("k2"));
+                    cols.push(extra);
+                    let rows = keys
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, mut r)| {
+                            r.push(Value::Int(i as i64));
+                            r
+                        })
+                        .collect();
+                    Table::build(name, &cols, &[], rows).unwrap()
+                },
+            )
+        }
+
+        /// `(name, columns, rows)`, in order.
+        fn exact(t: &Table) -> (String, Vec<String>, Vec<Vec<Value>>) {
+            let columns = t.schema().columns().map(str::to_string).collect();
+            (t.name().to_string(), columns, t.rows().to_vec())
+        }
+
+        fn check(l: &Table, r: &Table) -> Result<(), TestCaseError> {
+            let oracle = inner_join(l, r).unwrap();
+            let layout = join_layout(l, r).unwrap();
+            let index = JoinIndex::build(r, &layout.rcols);
+            prop_assert!(index.collisions.is_empty(), "FxHash collided on a toy domain");
+            prop_assert_eq!(exact(&inner_join_indexed(l, r, &index).unwrap()), exact(&oracle));
+
+            // The same join with at most three distinct key hashes a side.
+            let squeeze = |hashes: Vec<Option<u64>>| -> Vec<Option<u64>> {
+                hashes.into_iter().map(|h| h.map(|h| h % 3)).collect()
+            };
+            let rhashes = squeeze(left_key_hashes(r, &layout.rcols));
+            let colliding = JoinIndex::from_hashes(r, &layout.rcols, &rhashes);
+            let lhashes = squeeze(left_key_hashes(l, &layout.lcols));
+            let pairs = |cap| inner_join_pairs(l, r, &layout.lcols, &colliding, &lhashes, cap);
+            let all = pairs(usize::MAX).expect("no cap");
+            prop_assert_eq!(exact(&layout.table(l, r, &all)), exact(&oracle));
+            let distinct_keys: std::collections::HashSet<Vec<&Value>> = r
+                .rows()
+                .iter()
+                .filter(|row| layout.rcols.iter().all(|&c| !row[c].is_null()))
+                .map(|row| layout.rcols.iter().map(|&c| &row[c]).collect())
+                .collect();
+            prop_assert_eq!(
+                colliding.groups.len() + colliding.collisions.len(),
+                distinct_keys.len()
+            );
+
+            // The budget is on the output, whatever the index looks like.
+            prop_assert_eq!(pairs(all.len()), Some(all.clone()));
+            if let Some(short) = all.len().checked_sub(1) {
+                prop_assert!(pairs(short).is_none());
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn index_joins_like_inner_join(l in side("L", "v", false), r in side("R", "w", false)) {
+                check(&l, &r)?;
+            }
+
+            #[test]
+            fn index_joins_like_inner_join_on_two_columns(
+                l in side("L", "v", true),
+                r in side("R", "w", true),
+            ) {
+                check(&l, &r)?;
+            }
+        }
+
+        /// The squeezed hashes do what they are there for: runs that mix
+        /// keys, split into more groups than there are hashes.
+        #[test]
+        fn squeezed_hashes_reach_the_split_path() {
+            let rows = (0..12).map(|i| vec![Value::Int(i % 6), Value::Int(i)]).collect();
+            let r = Table::build("R", &["k1", "w"], &[], rows).unwrap();
+            let hashes: Vec<Option<u64>> = (0..12).map(|i| Some(i % 2)).collect();
+            let index = JoinIndex::from_hashes(&r, &[0], &hashes);
+            assert_eq!((index.groups.len(), index.collisions.len()), (2, 4));
+            for k in 0..6u32 {
+                let lrow = [Value::Float(k as f64)];
+                let found = index.matches(&r, u64::from(k % 2), &lrow, &[0]);
+                assert_eq!(found, Some(&[k, k + 6][..]), "key {k}");
+            }
+            assert_eq!(index.matches(&r, 0, &[Value::Int(7)], &[0]), None);
+        }
     }
 }

@@ -35,8 +35,8 @@ pub mod union;
 pub use error::OpError;
 pub use fd::{full_disjunction, saturating_complementation, FdBudget};
 pub use join::{
-    cross_product, full_outer_join, inner_join, inner_join_indexed, inner_join_indexed_capped,
-    inner_join_pairs, join_layout, left_join, left_key_hashes, JoinIndex, JoinLayout,
+    cross_product, full_outer_join, inner_join, inner_join_indexed, inner_join_pairs, join_layout,
+    left_join, left_key_hashes, JoinIndex, JoinLayout,
 };
 pub use unary::{complementation, minimal_form, project, project_named, select, subsumption};
 pub use union::{inner_union, outer_union, outer_union_all};

@@ -17,7 +17,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The rustc/Firefox Fx hash: fast, low-quality, excellent for short keys.
 #[derive(Default, Clone)]

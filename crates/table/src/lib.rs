@@ -9,7 +9,8 @@
 //!   disjunction),
 //! * [`Schema`] — named columns plus a possibly-composite key,
 //! * [`Table`] — a row-major relation with builders, accessors and invariant
-//!   checks,
+//!   checks, whose shared row storage also carries lazily computed per-column
+//!   cell hashes ([`Table::column_hashes`]),
 //! * [`csv`] — a small dependency-free CSV reader/writer so lakes can be
 //!   persisted and inspected,
 //! * [`binary`] — a stable, versioned, checksummed binary codec for values,
@@ -46,5 +47,8 @@ pub use error::TableError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use normalize::NormalizeConfig;
 pub use schema::Schema;
-pub use table::{KeyValue, Table};
+pub use table::{
+    cell_hash, cell_hash_is_null_like, column_facts_tally, fold_cell_hash, ColumnFactsTally,
+    KeyValue, Table, NULL_CELL_HASH,
+};
 pub use value::Value;

@@ -10,18 +10,31 @@
 //! Row storage is held behind an [`Arc`] with copy-on-write semantics:
 //! cloning a `Table` (or renaming its columns, setting a key, truncating
 //! its name — any schema-only change) shares the row buffer, and the rows
-//! are deep-copied only at the first mutation of a *shared* table
-//! ([`Arc::make_mut`]). Set Similarity clones every accepted candidate just
-//! to rename columns, and multi-lake reclamation re-embeds whole lakes —
-//! with shared storage both are O(schema), not O(rows).
+//! are deep-copied only at the first mutation of a *shared* table. Set
+//! Similarity clones every accepted candidate just to rename columns, and
+//! multi-lake reclamation re-embeds whole lakes — with shared storage both
+//! are O(schema), not O(rows).
+//!
+//! # Column facts
+//!
+//! The shared storage also carries lazily computed, column-major *facts*
+//! about its rows: [`Table::column_hashes`] (one [`cell_hash`] per cell)
+//! and [`Table::column_distinct_hashes`] (the column's distinct
+//! non-null-like cell hashes, sorted). They live inside the `Arc` the rows
+//! live in, one `OnceLock` per column, so every clone, rename and key
+//! override of a lake table reads the same slices, and they are freed with
+//! the rows — a lake table is hashed once per generation, whichever
+//! requests ask. Every row mutation goes through `Table::rows_mut`, which
+//! drops them; nothing else can make them stale.
 
 use crate::error::TableError;
-use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher, SEED};
 use crate::schema::Schema;
 use crate::value::Value;
+use std::cell::Cell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A key tuple: the values of a row's key attributes, in key order.
 ///
@@ -45,20 +58,147 @@ impl fmt::Display for KeyValue {
     }
 }
 
+/// The hash of a plain null cell in [`Table::column_hashes`].
+pub const NULL_CELL_HASH: u64 = 0;
+
+/// Set in the [`cell_hash`] of every value that is not null-like.
+const VALUE_TAG: u64 = 1 << 63;
+/// Set (with [`VALUE_TAG`] clear) in the [`cell_hash`] of a labeled null.
+const LABELED_TAG: u64 = 1 << 62;
+
+/// The hash of one cell as [`Table::column_hashes`] holds it: the value's
+/// FxHash with its top bits saying what kind of cell it was, so a consumer
+/// applies the null rules from the hash alone — [`NULL_CELL_HASH`] for a
+/// plain null (which never joins), the top bit clear for anything
+/// null-like (which never aligns; see [`cell_hash_is_null_like`]), the top
+/// bit set for a value. `Value`'s `Hash` agrees with its cross-type `==`
+/// (`Int(1)` / `Float(1.0)`), so equal cells hash equal; the tag sits in
+/// the high bits because Fx-keyed maps take their bucket from the low ones.
+#[inline]
+pub fn cell_hash(v: &Value) -> u64 {
+    if v.is_null() {
+        return NULL_CELL_HASH;
+    }
+    let mut h = FxHasher::default();
+    v.hash(&mut h);
+    if v.is_null_like() {
+        (h.finish() >> 2) | LABELED_TAG
+    } else {
+        h.finish() | VALUE_TAG
+    }
+}
+
+/// Was the cell behind this [`cell_hash`] a plain or labeled null?
+#[inline]
+pub fn cell_hash_is_null_like(h: u64) -> bool {
+    h & VALUE_TAG == 0
+}
+
+/// Fold one more [`cell_hash`] into a running multi-column key hash (start
+/// from 0) — an Fx step. The one definition behind every join-key and
+/// source-key hash, so a build side and a probe side cannot disagree.
+#[inline]
+pub fn fold_cell_hash(acc: u64, cell: u64) -> u64 {
+    (acc.rotate_left(5) ^ cell).wrapping_mul(SEED)
+}
+
+/// How many column facts ([`Table::column_hashes`],
+/// [`Table::column_distinct_hashes`]) the calling thread has asked for so
+/// far, split by whether the call had to compute them. A request runs on
+/// one thread, so the difference across it is that request's share —
+/// Expand reports it as `gent_expand_columns_{hashed,reused}_total`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnFactsTally {
+    /// Calls that computed the column's facts.
+    pub computed: u64,
+    /// Calls that found them on the row storage.
+    pub found: u64,
+}
+
+thread_local! {
+    static TALLY: Cell<ColumnFactsTally> = const { Cell::new(ColumnFactsTally { computed: 0, found: 0 }) };
+}
+
+/// This thread's running [`ColumnFactsTally`].
+pub fn column_facts_tally() -> ColumnFactsTally {
+    TALLY.with(Cell::get)
+}
+
+/// One column's lazily computed facts.
+#[derive(Default)]
+struct ColumnFacts {
+    hashes: OnceLock<Box<[u64]>>,
+    distinct: OnceLock<Box<[u64]>>,
+}
+
+/// `slot`'s value, computed by `compute` if this is the first call, and
+/// tallied either way.
+fn fact(slot: &OnceLock<Box<[u64]>>, compute: impl FnOnce() -> Box<[u64]>) -> &[u64] {
+    let mut computed = false;
+    let value = slot.get_or_init(|| {
+        computed = true;
+        compute()
+    });
+    TALLY.with(|t| {
+        let mut tally = t.get();
+        if computed {
+            tally.computed += 1;
+        } else {
+            tally.found += 1;
+        }
+        t.set(tally);
+    });
+    value
+}
+
+/// What a [`Table`]'s handles share: the rows, and the column facts
+/// derived from them. Equality, `Debug` and `Clone` see the rows only — a
+/// copy starts with no facts.
+struct RowStore {
+    rows: Vec<Vec<Value>>,
+    /// One slot per column, allocated when the first fact is asked for.
+    facts: OnceLock<Box<[ColumnFacts]>>,
+}
+
+impl RowStore {
+    fn new(rows: Vec<Vec<Value>>) -> Arc<RowStore> {
+        Arc::new(RowStore { rows, facts: OnceLock::new() })
+    }
+}
+
+impl Clone for RowStore {
+    fn clone(&self) -> RowStore {
+        RowStore { rows: self.rows.clone(), facts: OnceLock::new() }
+    }
+}
+
+impl PartialEq for RowStore {
+    fn eq(&self, other: &RowStore) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl fmt::Debug for RowStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.rows.fmt(f)
+    }
+}
+
 /// A named, row-major relation. Row storage is `Arc`-shared with
 /// copy-on-write: clones and schema-only edits (renames, key changes) share
-/// the buffer; row mutations copy it first if it is shared.
+/// the buffer — and the column facts computed over it; row mutations copy
+/// it first if it is shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: Arc<str>,
     schema: Schema,
-    rows: Arc<Vec<Vec<Value>>>,
+    rows: Arc<RowStore>,
 }
 
 impl Table {
     /// An empty table over `schema`.
     pub fn new(name: impl AsRef<str>, schema: Schema) -> Self {
-        Table { name: Arc::from(name.as_ref()), schema, rows: Arc::new(Vec::new()) }
+        Table { name: Arc::from(name.as_ref()), schema, rows: RowStore::new(Vec::new()) }
     }
 
     /// Build from rows, checking arity.
@@ -76,7 +216,7 @@ impl Table {
                 });
             }
         }
-        Ok(Table { name: Arc::from(name.as_ref()), schema, rows: Arc::new(rows) })
+        Ok(Table { name: Arc::from(name.as_ref()), schema, rows: RowStore::new(rows) })
     }
 
     /// Convenience constructor used heavily in tests and examples: columns,
@@ -117,7 +257,7 @@ impl Table {
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.rows.rows.len()
     }
 
     /// Number of columns.
@@ -132,22 +272,31 @@ impl Table {
 
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.rows.is_empty()
     }
 
     /// All rows.
     pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+        &self.rows.rows
+    }
+
+    /// The rows, for mutation: copies the storage first when it is shared
+    /// with another table (copy-on-write) and drops the column facts, which
+    /// describe the rows as they were. The one place rows change.
+    fn rows_mut(&mut self) -> &mut Vec<Vec<Value>> {
+        let store = Arc::make_mut(&mut self.rows);
+        store.facts.take();
+        &mut store.rows
     }
 
     /// Row `i`.
     pub fn row(&self, i: usize) -> Option<&[Value]> {
-        self.rows.get(i).map(|r| r.as_slice())
+        self.rows().get(i).map(|r| r.as_slice())
     }
 
     /// Cell at row `i`, column `j`.
     pub fn cell(&self, i: usize, j: usize) -> Option<&Value> {
-        self.rows.get(i).and_then(|r| r.get(j))
+        self.rows().get(i).and_then(|r| r.get(j))
     }
 
     /// Cell at row `i` in the column named `col`.
@@ -163,10 +312,10 @@ impl Table {
             return Err(TableError::ArityMismatch {
                 expected: self.schema.len(),
                 got: row.len(),
-                row: Some(self.rows.len()),
+                row: Some(self.n_rows()),
             });
         }
-        Arc::make_mut(&mut self.rows).push(row);
+        self.rows_mut().push(row);
         Ok(())
     }
 
@@ -179,7 +328,57 @@ impl Table {
 
     /// Iterate over the values of column `j`.
     pub fn column(&self, j: usize) -> impl Iterator<Item = &Value> {
-        self.rows.iter().map(move |r| &r[j])
+        self.rows().iter().map(move |r| &r[j])
+    }
+
+    /// Column `j`'s fact slots on the shared storage.
+    fn column_facts(&self, j: usize) -> &ColumnFacts {
+        let n_cols = self.n_cols();
+        &self.rows.facts.get_or_init(|| (0..n_cols).map(|_| ColumnFacts::default()).collect())[j]
+    }
+
+    /// The [`cell_hash`] of every cell of column `j`, in row order —
+    /// computed on first use and then shared by every table over the same
+    /// row storage until a row changes.
+    pub fn column_hashes(&self, j: usize) -> &[u64] {
+        fact(&self.column_facts(j).hashes, || self.column(j).map(cell_hash).collect())
+    }
+
+    /// The distinct [`cell_hash`]es of column `j`'s non-null-like cells,
+    /// ascending — shared like [`Table::column_hashes`], which it is
+    /// derived from. Two columns' value overlap is a merge of two of these.
+    pub fn column_distinct_hashes(&self, j: usize) -> &[u64] {
+        fact(&self.column_facts(j).distinct, || {
+            let mut hs: Vec<u64> = self
+                .column_hashes(j)
+                .iter()
+                .copied()
+                .filter(|&h| !cell_hash_is_null_like(h))
+                .collect();
+            hs.sort_unstable();
+            hs.dedup();
+            hs.into()
+        })
+    }
+
+    /// Per row, the [`fold_cell_hash`] of its `cols` cells in that order;
+    /// `None` where one of them is a plain null, or — with
+    /// `skip_null_like` — any null-like cell. Joins use the first rule
+    /// (labeled nulls join their equals), tuple alignment the second.
+    pub fn key_hashes(&self, cols: &[usize], skip_null_like: bool) -> Vec<Option<u64>> {
+        // A null-like cell's hash has the value tag clear; a plain null's
+        // has every bit clear.
+        let must_be_set = if skip_null_like { VALUE_TAG } else { u64::MAX };
+        let mut out = vec![Some(0u64); self.n_rows()];
+        for &c in cols {
+            for (acc, &h) in out.iter_mut().zip(self.column_hashes(c)) {
+                *acc = match *acc {
+                    Some(a) if h & must_be_set != 0 => Some(fold_cell_hash(a, h)),
+                    _ => None,
+                };
+            }
+        }
+        out
     }
 
     /// Distinct non-null values of column `j`.
@@ -196,7 +395,7 @@ impl Table {
     /// Distinct non-null values over the whole table.
     pub fn all_values(&self) -> FxHashSet<Value> {
         let mut set = FxHashSet::default();
-        for r in self.rows.iter() {
+        for r in self.rows() {
             for v in r {
                 if !v.is_null_like() {
                     set.insert(v.clone());
@@ -212,7 +411,7 @@ impl Table {
         if !self.schema.has_key() {
             return None;
         }
-        let row = self.rows.get(i)?;
+        let row = self.rows().get(i)?;
         let kv: Vec<Value> = self.schema.key().iter().map(|&k| row[k].clone()).collect();
         let kv = KeyValue(kv);
         if kv.has_null() {
@@ -270,12 +469,12 @@ impl Table {
     /// Remove exact duplicate rows, preserving first occurrences.
     pub fn dedup_rows(&mut self) {
         let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-        Arc::make_mut(&mut self.rows).retain(|r| seen.insert(r.clone()));
+        self.rows_mut().retain(|r| seen.insert(r.clone()));
     }
 
     /// Keep only rows satisfying `pred` (row-slice predicate).
     pub fn retain_rows<F: FnMut(&[Value]) -> bool>(&mut self, mut pred: F) {
-        Arc::make_mut(&mut self.rows).retain(|r| pred(r));
+        self.rows_mut().retain(|r| pred(r));
     }
 
     /// Low-level column projection by index, preserving this table's key
@@ -305,7 +504,7 @@ impl Table {
             Schema::new(names.iter().copied())?
         };
         let rows: Vec<Vec<Value>> =
-            self.rows.iter().map(|r| indices.iter().map(|&i| r[i].clone()).collect()).collect();
+            self.rows().iter().map(|r| indices.iter().map(|&i| r[i].clone()).collect()).collect();
         Table::from_rows(new_name, schema, rows)
     }
 
@@ -337,19 +536,20 @@ impl Table {
         // first rows usually do: look for a few by plain scan before paying
         // for the index.
         const SCOUT_ROWS: usize = 4;
-        if !self.rows.iter().take(SCOUT_ROWS).all(|r| other.rows.iter().any(|o| same_row(r, o))) {
+        if !self.rows().iter().take(SCOUT_ROWS).all(|r| other.rows().iter().any(|o| same_row(r, o)))
+        {
             return false;
         }
         // hash → the last row of `other` with it; `prev[i]` → the one before.
         let mut last: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut prev: Vec<Option<usize>> = vec![None; other.rows.len()];
-        for (i, r) in other.rows.iter().enumerate() {
+        let mut prev: Vec<Option<usize>> = vec![None; other.n_rows()];
+        for (i, r) in other.rows().iter().enumerate() {
             prev[i] = last.insert(row_hash(mapping.iter().map(|&j| &r[j])), i);
         }
-        self.rows.iter().all(|r| {
+        self.rows().iter().all(|r| {
             let mut at = last.get(&row_hash(r.iter())).copied();
             while let Some(i) = at {
-                if same_row(r, &other.rows[i]) {
+                if same_row(r, &other.rows()[i]) {
                     return true;
                 }
                 at = prev[i];
@@ -360,7 +560,7 @@ impl Table {
 
     /// Distinct row multiset view used by tuple-level precision/recall.
     pub fn row_set(&self) -> FxHashSet<&[Value]> {
-        self.rows.iter().map(|r| r.as_slice()).collect()
+        self.rows().iter().map(|r| r.as_slice()).collect()
     }
 }
 
@@ -370,7 +570,7 @@ impl fmt::Display for Table {
         writeln!(f, "{} ({} rows)", self.name, self.n_rows())?;
         let cols: Vec<&str> = self.schema.columns().collect();
         writeln!(f, "| {} |", cols.join(" | "))?;
-        for r in self.rows.iter().take(20) {
+        for r in self.rows().iter().take(20) {
             let cells: Vec<String> = r.iter().map(|v| v.to_string()).collect();
             writeln!(f, "| {} |", cells.join(" | "))?;
         }
@@ -532,8 +732,8 @@ mod tests {
 
     #[test]
     fn unshared_mutation_does_not_copy() {
-        // `Arc::make_mut` on a unique handle mutates in place; equality
-        // stays deep regardless of sharing.
+        // A unique handle mutates in place; equality stays deep regardless
+        // of sharing.
         let a = sample();
         let mut b = a.clone();
         b.retain_rows(|r| r[0] != V::Int(0));

@@ -99,6 +99,8 @@ fn metrics_endpoint_survives_the_strict_parser() {
         "gent_expand_dedup_total",
         "gent_expand_pairs_aligned_total",
         "gent_expand_rows_materialised_total",
+        "gent_expand_columns_hashed_total",
+        "gent_expand_columns_reused_total",
         // store
         "gent_store_snapshot_opens_total",
         "gent_store_snapshot_open_bytes_total",
