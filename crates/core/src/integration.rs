@@ -1,10 +1,15 @@
 //! Table Integration (Algorithm 2): integrate the originating tables into
 //! the reclaimed Source Table with `{⊎, σ, π, κ, β}`.
 //!
-//! Preprocessing: project/select down to the source's columns and keys,
-//! inner-union same-schema tables, *label* nulls shared with the source
-//! (so κ/β cannot over-combine a correct null away — the device Example 10
-//! and Figure 5's footnotes describe), and take each table's minimal form.
+//! Preprocessing: select the rows whose key the source has, then project
+//! only those down to the source's columns ([`project_select`]: an
+//! originating table may hold hundreds of thousands of rows and keep a few
+//! thousand), inner-union same-schema tables, *label* nulls shared with
+//! the source (so κ/β cannot over-combine a correct null away — the device
+//! Example 10 and Figure 5's footnotes describe), and take each table's
+//! minimal form. From here on every row carries a non-null source key, so
+//! `gent-ops`' κ and β compare rows only within a key group (their
+//! "blocks").
 //!
 //! Integration: fold the tables with outer union; after each step apply
 //! complementation and subsumption **only if** they do not decrease the
@@ -16,11 +21,18 @@
 use crate::config::GenTConfig;
 use gent_metrics::eis;
 use gent_ops::{complementation, minimal_form, outer_union, subsumption};
-use gent_table::{FxHashMap, FxHashSet, KeyValue, Schema, Table, Value};
+use gent_table::{FxHashMap, KeyValue, Schema, Table, Value};
 
 /// ProjectSelect (line 3): keep only columns named in the source (the key
 /// columns are always among them post-Expand) and rows whose key value
-/// appears in the source.
+/// appears in the source; `None` when no column or no row is left.
+///
+/// Selects first: a row survives when its source-key cells are all
+/// non-null-like and equal some source row's key (one without a plain
+/// null), found through [`Table::key_hashes`] on both sides and verified
+/// cell by cell — and only the survivors are projected. An originating
+/// table can hold hundreds of thousands of rows of which a few thousand
+/// share a key with the source.
 ///
 /// Public because the ALITE-PS baseline performs exactly this step before
 /// its full disjunction.
@@ -31,17 +43,46 @@ pub fn project_select(t: &Table, source: &Table) -> Option<Table> {
     if keep.is_empty() {
         return None;
     }
-    let mut projected = t.take_columns(&keep, t.name()).ok()?;
-    // Key columns of the source, positioned in the projected table.
-    let key_cols: Option<Vec<usize>> =
-        source.schema().key_names().iter().map(|k| projected.schema().column_index(k)).collect();
-    let key_cols = key_cols?;
-    let source_keys: FxHashSet<KeyValue> =
-        (0..source.n_rows()).filter_map(|i| source.key_of_row(i)).collect();
-    projected.retain_rows(|row| {
-        Table::key_from_row(row, &key_cols).map(|kv| source_keys.contains(&kv)).unwrap_or(false)
-    });
-    (!projected.is_empty()).then_some(projected)
+    // Key columns of the source, positioned in `t`. A keyless source has
+    // no key for a row to share.
+    let skey = source.schema().key();
+    if skey.is_empty() {
+        return None;
+    }
+    let key_cols: Vec<usize> = source
+        .schema()
+        .key_names()
+        .iter()
+        .map(|k| t.schema().column_index(k))
+        .collect::<Option<_>>()?;
+    // A source key with a labeled null matches no row of `t`, whose key
+    // cells must not be null-like either: skip those as well.
+    let mut source_rows: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+    for (i, h) in source.key_hashes(skey, true).into_iter().enumerate() {
+        if let Some(h) = h {
+            source_rows.entry(h).or_default().push(i);
+        }
+    }
+    let same_key = |row: &[Value], s: usize| {
+        key_cols.iter().zip(skey).all(|(&c, &k)| row[c] == source.rows()[s][k])
+    };
+    let rows: Vec<&Vec<Value>> = t
+        .key_hashes(&key_cols, true)
+        .into_iter()
+        .zip(t.rows())
+        .filter(|(h, row)| {
+            h.and_then(|h| source_rows.get(&h)).is_some_and(|s| s.iter().any(|&s| same_key(row, s)))
+        })
+        .map(|(_, row)| row)
+        .collect();
+    if rows.is_empty() {
+        return None;
+    }
+    // `take_columns` over no rows says what the projection's schema is —
+    // and whether `t`'s key survives it.
+    let empty = Table::new(t.name(), t.schema().clone()).take_columns(&keep, t.name()).ok()?;
+    let rows = rows.iter().map(|row| keep.iter().map(|&c| row[c].clone()).collect()).collect();
+    Some(Table::from_rows(t.name(), empty.schema().clone(), rows).expect("projected arity"))
 }
 
 /// InnerUnion (line 4): union tables sharing the same column set.
@@ -163,6 +204,9 @@ pub fn integrate(originating: &[Table], source: &Table, cfg: &GenTConfig) -> Tab
     // --- preprocessing (lines 3–6) --------------------------------------
     let projected: Vec<Table> =
         originating.iter().filter_map(|t| project_select(t, source)).collect();
+    let ins = crate::telemetry::instruments();
+    ins.integration_rows_offered.add(originating.iter().map(|t| t.n_rows() as u64).sum());
+    ins.integration_rows_selected.add(projected.iter().map(|t| t.n_rows() as u64).sum());
     if projected.is_empty() {
         return conform_schema(&Table::new("reclaimed", source.schema().clone()), source);
     }
@@ -382,5 +426,133 @@ mod tests {
             .any(|r| r[gender] == V::str("Male") && r[1] == V::str("Smith")));
         // Gated: the merge is rejected; a tuple with null gender remains.
         assert!(gated.rows().iter().any(|r| r[1] == V::str("Smith") && r[gender].is_null()));
+    }
+
+    mod project_select_prop {
+        //! Select-first [`project_select`] ≡ the project-then-filter it
+        //! replaced — rows, order, schema, key designation, name and `None`
+        //! — over composite and missing source keys, plain and labeled
+        //! nulls in key cells on either side, `Int(1)` / `Float(1.0)` keys,
+        //! duplicate keys in the table and tables with keys of their own.
+
+        use super::super::*;
+        use gent_table::FxHashSet;
+        use proptest::prelude::*;
+
+        /// The ProjectSelect `integrate` ran until select-first.
+        fn project_then_filter(t: &Table, source: &Table) -> Option<Table> {
+            let keep: Vec<usize> = (0..t.n_cols())
+                .filter(|&c| source.schema().contains(t.schema().column_name(c).expect("in range")))
+                .collect();
+            if keep.is_empty() {
+                return None;
+            }
+            let mut projected = t.take_columns(&keep, t.name()).ok()?;
+            let key_cols: Option<Vec<usize>> = source
+                .schema()
+                .key_names()
+                .iter()
+                .map(|k| projected.schema().column_index(k))
+                .collect();
+            let key_cols = key_cols?;
+            let source_keys: FxHashSet<KeyValue> =
+                (0..source.n_rows()).filter_map(|i| source.key_of_row(i)).collect();
+            projected.retain_rows(|row| {
+                Table::key_from_row(row, &key_cols)
+                    .map(|kv| source_keys.contains(&kv))
+                    .unwrap_or(false)
+            });
+            (!projected.is_empty()).then_some(projected)
+        }
+
+        /// A cell from a small domain, so keys repeat and meet.
+        fn cell(r: u64) -> Value {
+            let v = (r >> 32) % 3;
+            match r % 10 {
+                0 => Value::Null,
+                1 => Value::LabeledNull(v % 2),
+                2..=5 => Value::Int(v as i64),
+                6..=7 => Value::Float(v as f64),
+                8 => Value::Float(0.5),
+                _ => Value::str(["a", "b", "c"][v as usize]),
+            }
+        }
+
+        /// `name` over a shuffled subset of `pool` (at least `min` columns),
+        /// keyed on its first 0–2 columns, with 0–`max_rows` rows.
+        fn table(
+            name: &'static str,
+            pool: &'static [&'static str],
+            min: usize,
+            max_rows: usize,
+        ) -> impl Strategy<Value = Table> {
+            (
+                proptest::sample::subsequence(pool.to_vec(), min..=pool.len()),
+                any::<u64>(),
+                0usize..3,
+            )
+                .prop_flat_map(move |(mut cols, seed, n_key)| {
+                    let mut s = seed;
+                    for i in (1..cols.len()).rev() {
+                        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        cols.swap(i, (s >> 33) as usize % (i + 1));
+                    }
+                    let draws = proptest::collection::vec(
+                        proptest::collection::vec(any::<u64>(), cols.len()),
+                        0..=max_rows,
+                    );
+                    draws.prop_map(move |draws| {
+                        let rows = draws.iter().map(|r| r.iter().map(|&r| cell(r)).collect());
+                        let key = &cols[..n_key.min(cols.len())];
+                        Table::build(name, &cols, key, rows.collect()).unwrap()
+                    })
+                })
+        }
+
+        type Exact = (String, Vec<String>, Vec<usize>, Vec<Vec<Value>>);
+
+        fn exact(t: Option<Table>) -> Option<Exact> {
+            t.map(|t| {
+                let columns = t.schema().columns().map(str::to_string).collect();
+                (t.name().to_string(), columns, t.schema().key().to_vec(), t.rows().to_vec())
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn select_first_matches_project_then_filter(
+                // The source keys on its first 0–2 columns, whichever the
+                // shuffle put there; `T` may lack them, or share no column.
+                source in table("S", &["k1", "k2", "a"], 1, 6),
+                t in table("T", &["k1", "k2", "a", "x", "y"], 0, 9),
+            ) {
+                let oracle = exact(project_then_filter(&t, &source));
+                prop_assert_eq!(exact(project_select(&t, &source)), oracle);
+            }
+        }
+
+        /// The generators are not vacuous: many cases keep some rows and
+        /// drop others, some over a composite key.
+        #[test]
+        fn cases_select_and_drop_rows() {
+            let mut rng = proptest::test_runner::TestRng::deterministic("select");
+            let (sources, tables) = (
+                table("S", &["k1", "k2", "a"], 1, 6),
+                table("T", &["k1", "k2", "a", "x", "y"], 0, 9),
+            );
+            let (mut mixed, mut composite) = (0, 0);
+            for _ in 0..1024 {
+                let (s, t) = (sources.generate(&mut rng), tables.generate(&mut rng));
+                if let Some(kept) = project_then_filter(&t, &s) {
+                    if kept.n_rows() < t.n_rows() {
+                        mixed += 1;
+                        composite += usize::from(s.schema().key().len() == 2);
+                    }
+                }
+            }
+            assert!(mixed >= 64 && composite >= 16, "{mixed} mixed cases, {composite} composite");
+        }
     }
 }

@@ -71,6 +71,12 @@ pub(crate) struct Instruments {
     /// `gent_expand_columns_reused_total` — column facts found on the
     /// table's row storage, computed by an earlier call or request.
     pub expand_columns_reused: Arc<Counter>,
+    /// `gent_integration_rows_offered_total` — rows of the originating
+    /// tables handed to integration.
+    pub integration_rows_offered: Arc<Counter>,
+    /// `gent_integration_rows_selected_total` — the rows of those that
+    /// ProjectSelect kept (their key is one of the source's).
+    pub integration_rows_selected: Arc<Counter>,
 }
 
 /// The process-wide instrument set (registered on first use).
@@ -166,6 +172,16 @@ pub(crate) fn instruments() -> &'static Instruments {
             expand_columns_reused: reg.counter(
                 "gent_expand_columns_reused_total",
                 "Column facts found on the table's shared row storage",
+                &[],
+            ),
+            integration_rows_offered: reg.counter(
+                "gent_integration_rows_offered_total",
+                "Rows of the originating tables handed to integration",
+                &[],
+            ),
+            integration_rows_selected: reg.counter(
+                "gent_integration_rows_selected_total",
+                "Originating rows ProjectSelect kept: their key is one of the source's",
                 &[],
             ),
         }

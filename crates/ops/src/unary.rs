@@ -14,6 +14,29 @@
 //! Labeled nulls count as non-null everywhere — this is what lets
 //! `LabelSourceNulls` protect "correct nulls" from being over-combined
 //! (Algorithm 2, line 5).
+//!
+//! # Blocks
+//!
+//! κ and β compare rows pairwise, but only rows of one *block* can ever
+//! meet. A table's block columns are those in which no row is a plain
+//! null; a row's block is the [`Table::key_hashes`] fold of its cells in
+//! them (labeled nulls count as values there too). Two rows in different
+//! blocks hold different non-null values in some block column, so neither
+//! subsumes the other, they do not complement, they are not equal — and a
+//! κ merge of two rows of one block takes that block's values, so it stays
+//! in it. A hash collision only puts two blocks' rows into one list: the
+//! pairwise tests inside it are the exact ones, so a coarser partition is
+//! still a correct one and nothing is verified afterwards. A table with no
+//! block column is one block — the plain scan.
+//!
+//! Each operator keeps the visiting order of its whole-table scan (β its
+//! descending-non-null-count order, κ its worklist and the positions of
+//! one result vector), and within a block the first match in that order
+//! is the first match the whole-table scan finds, because nothing before
+//! it in another block could match. So the output — rows and their order —
+//! is the scan's, at O(Σ block²) comparisons instead of O(n²). After
+//! `gent-core`'s ProjectSelect every row carries a non-null source key,
+//! so the blocks are (at most) the source-key groups.
 
 use crate::error::OpError;
 use gent_table::{FxHashMap, Table, Value};
@@ -64,34 +87,58 @@ pub(crate) fn subsumes(t1: &[Value], t2: &[Value]) -> bool {
     strict
 }
 
+/// Each row's block (module docs, "Blocks"): the fold of its cells in the
+/// columns where no row is a plain null.
+fn blocks(t: &Table) -> Vec<u64> {
+    let cols: Vec<usize> = (0..t.n_cols()).filter(|&c| t.column(c).all(|v| !v.is_null())).collect();
+    t.key_hashes(&cols, false)
+        .into_iter()
+        .map(|h| h.expect("a block column holds no plain null"))
+        .collect()
+}
+
+/// How the operators below find each row's block: [`blocks`], or — in the
+/// tests — a squeezed version of it that forces collisions.
+type BlocksFn = fn(&Table) -> Vec<u64>;
+
 /// β — repeatedly remove subsumed tuples. Also removes exact duplicates of
 /// earlier tuples (a duplicate is mutually non-strict, so we dedup first to
 /// match the "no duplicate tuples" precondition of the theorems).
+///
+/// A tuple can only be subsumed by one with strictly more non-nulls, so
+/// tuples are visited by descending non-null count (stable) and each is
+/// checked against the kept tuples of its own block with a larger count;
+/// O(Σ block²) comparisons, see the module docs.
 pub fn subsumption(t: &Table) -> Table {
+    subsumption_by(t, blocks)
+}
+
+fn subsumption_by(t: &Table, blocks: BlocksFn) -> Table {
     let mut out = t.clone();
     out.dedup_rows();
-    // Sort candidate order by descending non-null count: a tuple can only be
-    // subsumed by one with strictly more non-nulls, so we only compare
-    // against rows with larger counts.
-    let mut order: Vec<usize> = (0..out.n_rows()).collect();
-    let counts: Vec<usize> =
-        out.rows().iter().map(|r| r.iter().filter(|v| !v.is_null()).count()).collect();
-    order.sort_by(|&a, &b| counts[b].cmp(&counts[a]));
+    let block_of = blocks(&out);
     let rows = out.rows();
+    let counts: Vec<usize> =
+        rows.iter().map(|r| r.iter().filter(|v| !v.is_null()).count()).collect();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| counts[b].cmp(&counts[a]));
     let mut keep = vec![true; rows.len()];
-    for (pos, &i) in order.iter().enumerate() {
-        if !keep[i] {
-            continue;
-        }
-        for &j in &order[..pos] {
-            if keep[j] && counts[j] > counts[i] && subsumes(&rows[j], &rows[i]) {
-                keep[i] = false;
-                break;
-            }
+    // Each block's kept rows, in visiting order (so by descending count).
+    let mut kept_in: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+    for i in order {
+        let kept = kept_in.entry(block_of[i]).or_default();
+        if kept
+            .iter()
+            .take_while(|&&j| counts[j] > counts[i])
+            .any(|&j| subsumes(&rows[j], &rows[i]))
+        {
+            keep[i] = false;
+        } else {
+            kept.push(i);
         }
     }
     let kept: Vec<Vec<Value>> =
-        rows.iter().enumerate().filter(|(i, _)| keep[*i]).map(|(_, r)| r.clone()).collect();
+        rows.iter().zip(&keep).filter(|(_, &k)| k).map(|(r, _)| r.clone()).collect();
     Table::from_rows(t.name(), t.schema().clone(), kept).expect("schema unchanged")
 }
 
@@ -132,16 +179,48 @@ pub(crate) fn merge_tuples(t1: &[Value], t2: &[Value]) -> Vec<Value> {
 /// tuples in the accumulator complement each other: each incoming tuple
 /// absorbs every partner it complements (removing them), then the merge is
 /// inserted if not already present.
+///
+/// The accumulator is one vector that loses partners by `swap_remove`, as
+/// a whole-table scan would have it; each block also lists the positions
+/// its rows hold there, ascending, and an incoming tuple is tested against
+/// its own block's list only. The partner taken is the lowest complementing
+/// position of the block — the one a scan of the whole accumulator finds
+/// first — so the output order is the scan's. O(Σ block²) comparisons, see
+/// the module docs.
 pub fn complementation(t: &Table) -> Table {
+    complementation_by(t, blocks)
+}
+
+fn complementation_by(t: &Table, blocks: BlocksFn) -> Table {
     let mut result: Vec<Vec<Value>> = Vec::with_capacity(t.n_rows());
-    for row in t.rows() {
+    // The block of each `result` row, and each block's positions in
+    // `result`, ascending.
+    let mut result_block: Vec<u64> = Vec::with_capacity(t.n_rows());
+    let mut positions_of: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+    for (row, block) in t.rows().iter().zip(blocks(t)) {
         let mut cur = row.clone();
-        while let Some(k) = result.iter().position(|r| complements(r, &cur)) {
+        loop {
+            let positions = positions_of.entry(block).or_default();
+            let Some(at) = positions.iter().position(|&k| complements(&result[k], &cur)) else {
+                break;
+            };
+            let k = positions.remove(at);
             let partner = result.swap_remove(k);
+            result_block.swap_remove(k);
+            // The last row moved into `k`: it held the highest position of
+            // all, so it is the last entry of its block's list.
+            if k < result.len() {
+                let moved = positions_of.get_mut(&result_block[k]).expect("listed block");
+                moved.pop();
+                moved.insert(moved.partition_point(|&p| p < k), k);
+            }
             cur = merge_tuples(&partner, &cur);
         }
-        if !result.contains(&cur) {
+        let positions = positions_of.entry(block).or_default();
+        if !positions.iter().any(|&k| result[k] == cur) {
+            positions.push(result.len());
             result.push(cur);
+            result_block.push(block);
         }
     }
     Table::from_rows(t.name(), t.schema().clone(), result).expect("schema unchanged")
@@ -151,10 +230,14 @@ pub fn complementation(t: &Table) -> Table {
 /// tuples (`TakeMinimalForm` of Algorithm 2 and the precondition of
 /// Theorem 8). κ first, then β, then a final κ/β sweep to a fixpoint.
 pub fn minimal_form(t: &Table) -> Table {
+    minimal_form_by(t, blocks)
+}
+
+fn minimal_form_by(t: &Table, blocks: BlocksFn) -> Table {
     let mut cur = t.clone();
     cur.dedup_rows();
     loop {
-        let after = subsumption(&complementation(&cur));
+        let after = subsumption_by(&complementation_by(&cur, blocks), blocks);
         if after.rows() == cur.rows() {
             return after;
         }
@@ -183,9 +266,77 @@ pub(crate) fn group_by_columns<'a>(
 }
 
 #[cfg(test)]
+#[path = "../tests/scan_oracle/mod.rs"]
+mod scan_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use gent_table::Value as V;
+
+    mod colliding_blocks {
+        //! `tests/kappa_beta_oracle.rs` again, with every block hash
+        //! squeezed to one of three values: blocks that real hashes keep
+        //! apart share a list on most cases, and the result must not move.
+
+        use super::super::scan_oracle::{check, table, Ops};
+        use super::super::*;
+        use gent_table::FxHashSet;
+        use proptest::prelude::*;
+
+        fn squeezed(t: &Table) -> Vec<u64> {
+            blocks(t).into_iter().map(|h| h % 3).collect()
+        }
+
+        const SQUEEZED: Ops = Ops {
+            kappa: |t| complementation_by(t, squeezed),
+            beta: |t| subsumption_by(t, squeezed),
+            minimal: |t| minimal_form_by(t, squeezed),
+        };
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn colliding_blocks_match_the_scans(t in table()) {
+                check(&t, &SQUEEZED)?;
+            }
+        }
+
+        /// The squeeze does what it is there for: on many generated tables
+        /// it puts rows of different blocks into one list.
+        #[test]
+        fn the_squeeze_merges_blocks_on_many_cases() {
+            let distinct = |hs: Vec<u64>| hs.into_iter().collect::<FxHashSet<u64>>().len();
+            let mut rng = proptest::test_runner::TestRng::deterministic("squeeze");
+            let tables = table();
+            let merged = (0..256)
+                .filter(|_| {
+                    let t = tables.generate(&mut rng);
+                    distinct(blocks(&t)) > distinct(squeezed(&t))
+                })
+                .count();
+            assert!(merged >= 64, "only {merged} of 256 tables had blocks merged");
+        }
+    }
+
+    #[test]
+    fn blocks_key_on_the_never_null_columns() {
+        let x = t(vec![
+            vec![V::Int(1), V::Null, V::LabeledNull(7)],
+            vec![V::Float(1.0), V::Int(2), V::LabeledNull(7)],
+            vec![V::Int(1), V::Int(3), V::LabeledNull(8)],
+        ]);
+        // c1 holds a plain null, so c0 and c2 key the blocks; `Int(1)` and
+        // `Float(1.0)` are one value, labeled nulls are values.
+        let b = blocks(&x);
+        assert_eq!(b[0], b[1]);
+        assert_ne!(b[0], b[2]);
+        // No never-null column: one block.
+        let y = t(vec![vec![V::Int(1), V::Null], vec![V::Null, V::Int(2)]]);
+        let b = blocks(&y);
+        assert_eq!(b[0], b[1]);
+    }
 
     fn t(rows: Vec<Vec<V>>) -> Table {
         let ncols = rows.first().map(|r| r.len()).unwrap_or(0);

@@ -101,6 +101,8 @@ fn metrics_endpoint_survives_the_strict_parser() {
         "gent_expand_rows_materialised_total",
         "gent_expand_columns_hashed_total",
         "gent_expand_columns_reused_total",
+        "gent_integration_rows_offered_total",
+        "gent_integration_rows_selected_total",
         // store
         "gent_store_snapshot_opens_total",
         "gent_store_snapshot_open_bytes_total",
@@ -153,6 +155,12 @@ fn metrics_endpoint_survives_the_strict_parser() {
     assert!(
         exp.value("gent_expand_paths_considered_total", &[]).is_some(),
         "expand search-effort counter must be exposed"
+    );
+    let offered = exp.value("gent_integration_rows_offered_total", &[]).unwrap_or(0.0);
+    let selected = exp.value("gent_integration_rows_selected_total", &[]).unwrap_or(0.0);
+    assert!(
+        offered >= 1.0 && selected <= offered,
+        "ProjectSelect keeps a subset of the rows the reclaim offered: {selected} of {offered}"
     );
     assert!(
         exp.value("gent_lake_tables_decoded", &[("lake", "default")]).is_some_and(|v| v >= 1.0),
