@@ -23,7 +23,7 @@ fn bench_faults_overhead(c: &mut Criterion) {
     let path = dir.join("lake.gentlake");
 
     let cycle = |path: &std::path::Path| {
-        snapshot::save(path, &lake, None).expect("save");
+        snapshot::write(path, &lake).expect("save");
         std::hint::black_box(snapshot::load(path).expect("load"));
     };
 

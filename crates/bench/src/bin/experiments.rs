@@ -17,7 +17,7 @@
 //!   llm       App. F    — the (simulated) LLM baseline on TP-TR Small
 //!   t2d       §VI-D     — T2D Gold generalizability counts
 //!   ablation  DESIGN.md — Gen-T ablations (matrix kind, traversal, gates)
-//!   ext       beyond the paper — LSH vs exact retrieval, imputation cleaning
+//!   ext       beyond the paper — EXT-2, reclamation + imputation cleaning
 //!   all       everything above, in paper order
 //! ```
 //!
@@ -522,60 +522,14 @@ fn ablation(cli: &Cli) {
 
 // ---------------------------------------------------------------- ext
 
-/// Extension-quality measurements (beyond the paper's figures): LSH vs
-/// exact first-stage retrieval, and imputation-combined reclamation.
+/// Extension-quality measurement (beyond the paper's figures):
+/// imputation-combined reclamation.
 fn ext(cli: &Cli) {
     use gent_core::{GenT, ImputeConfig};
-    use gent_discovery::{DataLake, LshConfig, LshRetriever, OverlapRetriever, TableRetriever};
+    use gent_discovery::DataLake;
 
-    let cfg = suite_config(cli);
-    let bench = build(BenchmarkId::SantosLargeTpTrMed, &cfg);
-    let lake = DataLake::from_tables(bench.lake_tables.clone());
-
-    // --- LSH vs exact retrieval: ground-truth recall ---------------------
-    // The decision-relevant metric: does the first stage surface the
-    // *integrating set* (the variant tables that can rebuild the source)?
-    println!("\n## EXT-1 — first-stage retrieval: LSH Ensemble vs exact (scale: {})\n", cli.scale);
-    let lsh = LshRetriever::build(&lake, LshConfig::default(), 0.2);
-    let k = 50usize;
-    // Ground truth per case: the integrating-set variant tables by name.
-    let truth_indices = |case: &gent_datagen::suite::SourceCase| -> Vec<usize> {
-        (0..lake.len())
-            .filter(|&i| {
-                let name = lake.get(i).expect("in range").name();
-                case.integrating_set.iter().any(|b| b == name)
-            })
-            .collect()
-    };
-    let mut rows =
-        vec![["Source", "|truth|", "exact recall@k", "LSH recall@k"].map(String::from).to_vec()];
-    let (mut exact_sum, mut lsh_sum) = (0.0, 0.0);
-    let n_cases = bench.cases.len().min(8);
-    for case in bench.cases.iter().take(n_cases) {
-        let truth = truth_indices(case);
-        if truth.is_empty() {
-            continue;
-        }
-        let exact: std::collections::HashSet<usize> =
-            OverlapRetriever.retrieve(&lake, &case.source, k).into_iter().collect();
-        let approx: std::collections::HashSet<usize> =
-            lsh.retrieve(&lake, &case.source, k).into_iter().collect();
-        let er = truth.iter().filter(|i| exact.contains(i)).count() as f64 / truth.len() as f64;
-        let lr = truth.iter().filter(|i| approx.contains(i)).count() as f64 / truth.len() as f64;
-        exact_sum += er;
-        lsh_sum += lr;
-        rows.push(vec![format!("S{}", case.id), truth.len().to_string(), f3(er), f3(lr)]);
-    }
-    println!("{}", markdown_table(&rows));
-    println!(
-        "\nmean integrating-set recall@{k}: exact {} vs LSH {} over {n_cases} sources",
-        f3(exact_sum / n_cases as f64),
-        f3(lsh_sum / n_cases as f64)
-    );
-
-    // --- imputation-combined reclamation ---------------------------------
     // Cleaning only matters when reclamation is imperfect, so this
-    // sub-experiment raises the nullification rate until the complementary
+    // experiment raises the nullification rate until the complementary
     // variants no longer cover every source value (null_frac 0.8 →
     // P(both variants null) = 0.64 per cell).
     println!("\n## EXT-2 — reclamation + cleaning (§VII imputation, null_frac 0.8)\n");
@@ -583,6 +537,7 @@ fn ext(cli: &Cli) {
     hard_cfg.variants = VariantConfig { null_frac: 0.8, ..hard_cfg.variants };
     let hard = build(BenchmarkId::TpTrSmall, &hard_cfg);
     let hard_lake = DataLake::from_tables(hard.lake_tables.clone());
+    let n_cases = hard.cases.len().min(8);
     let gen_t = GenT::new(GenTConfig::default());
     let impute_cfg = ImputeConfig { min_fd_support: 1, ..ImputeConfig::default() };
     let mut rows =

@@ -276,8 +276,8 @@ pub fn run(cfg: &SoakConfig) -> Result<SoakReport, SoakReport> {
             std::fs::create_dir_all(&dir).expect("soak scratch dir");
             let v1 = dir.join("v1.gentlake");
             let v2 = dir.join("v2.gentlake");
-            gent_store::snapshot::save(&v1, &tagged_lake("v1"), None).expect("save v1");
-            gent_store::snapshot::save(&v2, &tagged_lake("v2"), None).expect("save v2");
+            gent_store::snapshot::write(&v1, &tagged_lake("v1")).expect("save v1");
+            gent_store::snapshot::write(&v2, &tagged_lake("v2")).expect("save v2");
 
             let mut builder = Router::builder(GenTConfig::default());
             builder.add_snapshot("main", &v1).expect("boot snapshot");

@@ -57,8 +57,8 @@ USAGE:
   gent verify   <claimed.csv> <lake-dir> [--key a,b] [--threshold 1.0]
   gent query    '<expr>' <lake-dir> [--out out.csv] [--rewrite]
   gent generate <out-dir> [--benchmark tp-tr-small|tp-tr-med|t2d-gold] [--seed 7]
-  gent lake     build <lake-dir> --out snap.gentlake [--lsh] [--threads N]
-                build --suite tp-tr-small --out snap.gentlake [--seed 7] [--lsh]
+  gent lake     build <lake-dir> --out snap.gentlake [--threads N]
+                build --suite tp-tr-small --out snap.gentlake [--seed 7]
                 stat  <snap.gentlake>
                 fsck  <snap.gentlake> [--repair]
   gent serve    --lake [name=]snap.gentlake [--lake ...] [--addr 127.0.0.1:7744]
@@ -76,7 +76,7 @@ LOGGING:
   (the GENT_LOG environment variable is the fallback, default warn).
 
 A lake snapshot (`lake build`) persists the tables together with the
-inverted value index and optional LSH bands; `reclaim --lake` and
+inverted value index; `reclaim --lake` and
 `lake stat` reopen it without rebuilding anything, and `serve` keeps it
 open: a daemon answering POST /reclaim, GET /lakes, GET /lake/stat and
 GET /healthz against the warm lakes (JSON in, JSON out; see gent-serve
@@ -407,10 +407,10 @@ fn cmd_lake(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 /// `lake build`: ingest a CSV directory (or a generated benchmark suite)
 /// once — in parallel — and persist the lake plus its indexes.
 fn cmd_lake_build(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use gent_store::{ingest_tables, snapshot, IngestOptions};
+    use gent_store::{ingest_tables, snapshot};
     use std::time::Instant;
 
-    let p = ParsedArgs::parse(args, &["out", "suite", "seed", "threads"], &["lsh"])?;
+    let p = ParsedArgs::parse(args, &["out", "suite", "seed", "threads"], &[])?;
     let out_path = PathBuf::from(
         p.option("out")
             .ok_or_else(|| CliError::Usage("lake build requires --out <snapshot>".into()))?,
@@ -439,21 +439,17 @@ fn cmd_lake_build(args: &[String], out: &mut impl Write) -> Result<(), CliError>
     };
     let load_time = t0.elapsed();
 
-    let options = IngestOptions {
-        threads: p.option_parse::<usize>("threads")?.unwrap_or(0),
-        lsh: p.flag("lsh").then(gent_discovery::LshConfig::default),
-    };
+    let threads = p.option_parse::<usize>("threads")?.unwrap_or(0);
     let t1 = Instant::now();
-    let ingested = ingest_tables(tables, &options);
+    let lake = ingest_tables(tables, threads);
     let ingest_time = t1.elapsed();
-    snapshot::save(&out_path, &ingested.lake, ingested.lsh.as_ref())?;
+    snapshot::write(&out_path, &lake)?;
 
     let s = snapshot::stat(&out_path)?;
     writeln!(out, "built lake from {origin}")?;
     writeln!(out, "  tables:        {}", s.header.n_tables)?;
     writeln!(out, "  rows:          {}", s.header.total_rows)?;
     writeln!(out, "  index values:  {}", s.header.n_index_entries)?;
-    writeln!(out, "  lsh columns:   {}", s.header.n_lsh_columns)?;
     writeln!(out, "  snapshot:      {} ({} bytes)", out_path.display(), s.file_bytes)?;
     writeln!(
         out,
@@ -476,25 +472,17 @@ fn cmd_lake_stat(args: &[String], out: &mut impl Write) -> Result<(), CliError> 
     writeln!(out, "  rows:           {}", s.header.total_rows)?;
     writeln!(out, "  columns:        {}", s.header.total_cols)?;
     writeln!(out, "  index values:   {}", s.header.n_index_entries)?;
-    writeln!(
-        out,
-        "  lsh:            {}",
-        if s.header.has_lsh() {
-            format!("{} columns", s.header.n_lsh_columns)
-        } else {
-            "absent".to_string()
-        }
-    )?;
     writeln!(out, "  size (bytes):   {}", s.file_bytes)?;
     Ok(())
 }
 
 /// `lake fsck`: verify a snapshot offline — header, directory, every
-/// per-section checksum (v3) or the whole-file checksum (v1/v2), and
-/// every delta frame. Prints one line per problem and exits nonzero on a
-/// dirty file; `--repair` rewrites a clean compacted base, quarantining
-/// tables whose sections cannot be recovered (their names are printed so
-/// the operator knows what to restore from a replica).
+/// per-section checksum, and every delta frame. Prints one line per
+/// problem and exits nonzero on a dirty file; `--repair` rewrites a clean
+/// compacted base, quarantining tables whose sections cannot be recovered
+/// (their names are printed so the operator knows what to restore from a
+/// replica). A clean file carrying the retired section an older build
+/// wrote is rewritten by `--repair` too, without it.
 fn cmd_lake_fsck(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let p = ParsedArgs::parse(args, &[], &["repair"])?;
     let path = Path::new(p.required(0, "snapshot")?);
@@ -506,14 +494,18 @@ fn cmd_lake_fsck(args: &[String], out: &mut impl Write) -> Result<(), CliError> 
     if report.torn_tail {
         writeln!(out, "  torn tail:      yes (an interrupted append; dropped on open)")?;
     }
+    if report.carries_retired_section {
+        writeln!(out, "  retired section: yes (never read; --repair drops it)")?;
+    }
     for problem in &report.problems {
         writeln!(out, "  PROBLEM {}: {}", problem.what, problem.detail)?;
     }
     if report.is_clean() {
         writeln!(out, "  clean")?;
-        return Ok(());
-    }
-    if !p.flag("repair") {
+        if !(p.flag("repair") && report.carries_retired_section) {
+            return Ok(());
+        }
+    } else if !p.flag("repair") {
         return Err(CliError::Pipeline(format!(
             "snapshot is dirty: {} problem(s); re-run with --repair to rewrite a clean base",
             report.problems.len()
@@ -541,8 +533,8 @@ fn cmd_lake_fsck(args: &[String], out: &mut impl Write) -> Result<(), CliError> 
 }
 
 /// `gent serve`: open one or more snapshots warm and answer reclamation
-/// requests against them until killed. Each lake (tables + FrozenIndex +
-/// LSH bands) is opened exactly once and shared by every worker thread.
+/// requests against them until killed. Each lake (tables + FrozenIndex)
+/// is opened exactly once and shared by every worker thread.
 /// Opens are *lazy* — no table cells decode until a reclaim touches them;
 /// `--eager` pre-decodes everything (in parallel across `--threads`) so
 /// the first requests pay no decode either.
@@ -592,7 +584,6 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         if p.flag("eager") {
             let t1 = Instant::now();
             loaded.lake.decode_all(decode_threads).map_err(gent_store::StoreError::from)?;
-            loaded.lsh.force()?;
             warmup_note = format!(", pre-decoded in {:.3}s", t1.elapsed().as_secs_f64());
         }
         if !loaded.quarantined.is_empty() {

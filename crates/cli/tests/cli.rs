@@ -252,14 +252,7 @@ fn lake_build_stat_and_reclaim_from_snapshot() {
     let lake = make_lake(&s);
     let snap = s.path().join("lake.gentlake");
 
-    let text = run_ok(&[
-        "lake",
-        "build",
-        lake.to_str().unwrap(),
-        "--out",
-        snap.to_str().unwrap(),
-        "--lsh",
-    ]);
+    let text = run_ok(&["lake", "build", lake.to_str().unwrap(), "--out", snap.to_str().unwrap()]);
     assert!(text.contains("tables:        3"), "{text}");
     assert!(snap.is_file(), "snapshot written");
 
@@ -267,7 +260,6 @@ fn lake_build_stat_and_reclaim_from_snapshot() {
     assert!(text.contains("format version: 3"), "{text}");
     assert!(text.contains("tables:         3"), "{text}");
     assert!(text.contains("columns"), "{text}");
-    assert!(!text.contains("absent"), "lsh stored: {text}");
 
     // A freshly built snapshot fscks clean; a corrupted one is dirty and
     // --repair rewrites a clean base.
@@ -288,7 +280,7 @@ fn lake_build_stat_and_reclaim_from_snapshot() {
     let text = run_ok(&["lake", "fsck", snap.to_str().unwrap(), "--repair"]);
     assert!(text.contains("post-repair fsck: clean"), "{text}");
     // Rebuild the pristine snapshot for the reclaim comparison below.
-    run_ok(&["lake", "build", lake.to_str().unwrap(), "--out", snap.to_str().unwrap(), "--lsh"]);
+    run_ok(&["lake", "build", lake.to_str().unwrap(), "--out", snap.to_str().unwrap()]);
 
     // Reclaiming against the snapshot matches reclaiming against the dir.
     let src = s.file("source.csv", SOURCE_CSV);
@@ -331,7 +323,52 @@ fn lake_build_from_suite_round_trips() {
     assert!(text.contains("suite `tp-tr-small`"), "{text}");
     let text = run_ok(&["lake", "stat", snap.to_str().unwrap()]);
     assert!(text.contains("tables:         32"), "{text}");
-    assert!(text.contains("lsh:            absent"), "{text}");
+}
+
+/// `lake fsck --repair` is the migration for a file an older build wrote
+/// with the retired section: the file reclaims like a fresh build, fsck
+/// calls it clean and names the section, and the repair rewrites exactly
+/// the file `lake build` writes today.
+#[test]
+fn fsck_repair_drops_the_retired_section() {
+    use gent_store::format::{FLAG_HAS_LSH, HEADER_LEN};
+    use gent_table::binary::fold64;
+
+    let s = Scratch::new("lake-retired");
+    let lake = make_lake(&s);
+    let built = s.path().join("built.gentlake");
+    run_ok(&["lake", "build", lake.to_str().unwrap(), "--out", built.to_str().unwrap()]);
+
+    // Forge the section as older builds laid it out: the flag, a column
+    // count, opaque bytes after the index claimed by the third directory
+    // entry, the meta checksum re-sealed.
+    let mut bytes = fs::read(&built).unwrap();
+    let n_tables = gent_store::snapshot::stat(&built).unwrap().header.n_tables as usize;
+    let opaque = [0xA5u8; 40];
+    bytes[10..12].copy_from_slice(&FLAG_HAS_LSH.to_le_bytes());
+    bytes[40..44].copy_from_slice(&3u32.to_le_bytes());
+    let entry = HEADER_LEN + 2 * 24;
+    let words = [bytes.len() as u64, opaque.len() as u64, fold64(&opaque)];
+    for (i, word) in words.into_iter().enumerate() {
+        bytes[entry + 8 * i..entry + 8 * (i + 1)].copy_from_slice(&word.to_le_bytes());
+    }
+    let meta_end = HEADER_LEN + gent_store::SectionDirV3::encoded_len(n_tables);
+    let meta = fold64(&bytes[..meta_end - 8]);
+    bytes[meta_end - 8..meta_end].copy_from_slice(&meta.to_le_bytes());
+    bytes.extend_from_slice(&opaque);
+    let old = s.path().join("old.gentlake");
+    fs::write(&old, &bytes).unwrap();
+
+    let src = s.file("source.csv", SOURCE_CSV);
+    let reclaim = |snap: &Path| {
+        run_ok(&["reclaim", src.to_str().unwrap(), "--lake", snap.to_str().unwrap(), "--key", "id"])
+    };
+    assert_eq!(reclaim(&old), reclaim(&built));
+    let text = run_ok(&["lake", "fsck", old.to_str().unwrap()]);
+    assert!(text.contains("retired section: yes") && text.contains("clean"), "{text}");
+    let text = run_ok(&["lake", "fsck", old.to_str().unwrap(), "--repair"]);
+    assert!(text.contains("post-repair fsck: clean"), "{text}");
+    assert!(fs::read(&old).unwrap() == fs::read(&built).unwrap(), "repair must equal a build");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! byte arrays.
 //!
 //! The point of freezing is persistence: `gent-store` writes the arrays to
-//! disk verbatim ([`FrozenIndex::encode`]) and a v2 snapshot open does not
+//! disk verbatim ([`FrozenIndex::encode`]) and a snapshot open does not
 //! read them back at all — the arrays become [`WordView`]/[`ByteView`]s
 //! into the shared, `Arc`-anchored snapshot buffer
 //! ([`gent_table::view::LakeBuf`]), so reopening a lake allocates nothing
@@ -114,8 +114,9 @@ impl FrozenIndex {
         }
     }
 
-    /// Reassemble from owned raw arrays (the v1 snapshot load path and
-    /// tests). Validates like [`FrozenIndex::from_views`].
+    /// Reassemble from owned raw arrays (the store's thaw when a degraded
+    /// open filtered quarantined postings, and tests). Validates like
+    /// [`FrozenIndex::from_views`].
     pub fn from_raw_parts(
         buckets: Vec<u32>,
         hashes: Vec<u64>,
@@ -135,7 +136,7 @@ impl FrozenIndex {
     }
 
     /// Reassemble from array views — owned or anchored in a snapshot buffer
-    /// (the zero-copy v2 load path). Validates every structural invariant
+    /// (the zero-copy snapshot load path). Validates every structural invariant
     /// the probe loop relies on, so a corrupt file can produce an error but
     /// never an out-of-bounds access or infinite probe.
     pub fn from_views(
@@ -343,7 +344,7 @@ mod tests {
     }
 
     /// Decode an [`FrozenIndex::encode`] section back into view-backed
-    /// arrays over `buf` — the test-local mirror of the store's v2 loader.
+    /// arrays over `buf` — the test-local mirror of the store's index thaw.
     fn decode_views(buf: &LakeBuf) -> FrozenIndex {
         let mut r = BinReader::new(buf.as_slice());
         let word_view_u32 = |r: &mut BinReader| {

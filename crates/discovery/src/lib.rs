@@ -19,12 +19,6 @@
 //! The [`DataLake`] type owns the tables plus the inverted index
 //! `value → (table, column)` that both stages query.
 //!
-//! Two first-stage retrievers ship: the exact [`OverlapRetriever`] over the
-//! inverted index, and [`LshRetriever`] — an LSH-Ensemble-style approximate
-//! set-containment index (MinHash signatures, equi-depth set-size
-//! partitions, banded hashing; the paper's reference \[31\]) for lakes where
-//! exact indexing is too expensive. Both implement [`TableRetriever`].
-//!
 //! # Examples
 //!
 //! Build a lake, probe its inverted index, and run candidate discovery:
@@ -52,18 +46,11 @@
 
 pub mod frozen;
 pub mod lake;
-pub mod lsh;
-pub mod minhash;
 pub mod retriever;
 pub mod set_similarity;
 
 pub use frozen::FrozenIndex;
 pub use lake::DataLake;
-pub use lsh::{
-    LshColumnExport, LshConfig, LshEnsembleIndex, LshIndexExport, LshMatch, LshPartitionExport,
-    LshRetriever,
-};
-pub use minhash::{MinHashSignature, MinHasher};
 pub use retriever::{OverlapRetriever, TableRetriever};
 pub use set_similarity::{
     set_similarity, set_similarity_cached, Candidate, DiscoveryCache, SetSimilarityConfig,

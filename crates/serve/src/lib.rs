@@ -3,8 +3,8 @@
 //! The Gen-T pipeline is a batch algorithm, but the workloads it targets are
 //! not: a data lake is built once and queried by many source tables over a
 //! long lifetime. `gent-store` makes the lake *reopenable* in milliseconds
-//! (`*.gentlake` snapshots persist the inverted index in its serving layout
-//! plus the LSH bands); this crate makes it *servable* — a long-running
+//! (`*.gentlake` snapshots persist the inverted index in its serving
+//! layout); this crate makes it *servable* — a long-running
 //! daemon that opens one snapshot once and answers reclamation requests
 //! against the warm lake over HTTP:
 //!
@@ -81,7 +81,7 @@
 //!
 //! The daemon's whole point is that concurrent requests share one lake
 //! handle: [`service::LakeService`] owns the `DataLake` (and its
-//! `FrozenIndex` + LSH ensemble) exactly once, the server wraps it in an
+//! `FrozenIndex`) exactly once, the server wraps it in an
 //! `Arc`, and request handlers *borrow* it — `GenT::reclaim` takes
 //! `&DataLake`, so serving N concurrent requests re-derives and copies
 //! nothing per request.

@@ -800,8 +800,8 @@ mod tests {
         let v2 = dir.join("v2.gentlake");
         let lake1 = gent_discovery::DataLake::from_tables(lake_tables("one"));
         let lake2 = gent_discovery::DataLake::from_tables(lake_tables("two"));
-        gent_store::snapshot::save(&v1, &lake1, None).unwrap();
-        gent_store::snapshot::save(&v2, &lake2, None).unwrap();
+        gent_store::snapshot::write(&v1, &lake1).unwrap();
+        gent_store::snapshot::write(&v2, &lake2).unwrap();
 
         let mut b = Router::builder(GenTConfig::default());
         b.add_snapshot("main", &v1).unwrap();
@@ -868,7 +868,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let live = dir.join("live.gentlake");
         let lake = gent_discovery::DataLake::from_tables(lake_tables("one"));
-        snapshot::save(&live, &lake, None).unwrap();
+        snapshot::write(&live, &lake).unwrap();
         let mut b = Router::builder(GenTConfig::default());
         b.add_snapshot("main", &live).unwrap();
         let r = b.build().unwrap();
@@ -918,7 +918,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("live.gentlake");
         let lake = gent_discovery::DataLake::from_tables(lake_tables("one"));
-        gent_store::snapshot::save(&snap, &lake, None).unwrap();
+        gent_store::snapshot::write(&snap, &lake).unwrap();
 
         let mut b = Router::builder(GenTConfig::default());
         b.add_snapshot("main", &snap).unwrap();

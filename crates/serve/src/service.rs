@@ -1,13 +1,13 @@
 //! The reclamation service over one warm lake: pipeline + stats.
 //!
-//! A [`LakeService`] owns the lake exactly once — tables, inverted index
-//! (usually a `FrozenIndex` straight from a snapshot) and any LSH bands —
-//! and every request borrows it. Nothing is re-derived or cloned per
-//! request: the router wraps the service in an `Arc` and all worker threads
-//! reclaim against the same handle, which is what makes warm serving
-//! cheap. Dispatch lives in [`crate::routing::Router`]; this module holds
-//! what a request does once it has been routed to a lake, the request
-//! envelope, and the instruments.
+//! A [`LakeService`] owns the lake exactly once — tables and inverted index
+//! (usually a `FrozenIndex` straight from a snapshot) — and every request
+//! borrows it. Nothing is re-derived or cloned per request: the router
+//! wraps the service in an `Arc` and all worker threads reclaim against
+//! the same handle, which is what makes warm serving cheap. Dispatch lives
+//! in [`crate::routing::Router`]; this module holds what a request does
+//! once it has been routed to a lake, the request envelope, and the
+//! instruments.
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,9 +15,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gent_core::{GenT, GenTConfig, GentError, ReclamationResult};
-use gent_discovery::{DataLake, LshEnsembleIndex};
+use gent_discovery::DataLake;
 use gent_obs::{Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS_US};
-use gent_store::{LoadedLake, LshSlot, StoreError};
+use gent_store::LoadedLake;
 use gent_table::key::ensure_key;
 use gent_table::Table;
 
@@ -197,11 +197,6 @@ impl HttpMetrics {
                 "Tables in the warm lake, by lake",
                 labels,
             ),
-            lsh_decoded: self.registry.gauge(
-                "gent_lake_lsh_decoded",
-                "1 once the snapshot's LSH bands have been decoded, by lake",
-                labels,
-            ),
             quarantined_tables: self.registry.gauge(
                 "gent_lake_quarantined_tables",
                 "Tables quarantined by a degraded open (checksum failures), by lake",
@@ -251,12 +246,11 @@ impl HttpMetrics {
     }
 }
 
-/// The three per-lake lazy-decode gauges (see [`HttpMetrics::lake_gauges`]).
+/// The per-lake lazy-decode gauges (see [`HttpMetrics::lake_gauges`]).
 #[derive(Debug)]
 pub(crate) struct LakeGauges {
     pub(crate) tables_decoded: Arc<Gauge>,
     pub(crate) tables_total: Arc<Gauge>,
-    pub(crate) lsh_decoded: Arc<Gauge>,
     pub(crate) quarantined_tables: Arc<Gauge>,
 }
 
@@ -334,10 +328,6 @@ impl ApiError {
 /// The reclamation service: one warm lake, shared by every request.
 pub struct LakeService {
     lake: DataLake,
-    /// Kept alive so the (possibly still undecoded) bands survive for the
-    /// daemon's whole life; retrieval warm starts decode-once and reuse
-    /// them instead of rehashing.
-    lsh: LshSlot,
     gen_t: GenT,
     origin: String,
     lake_label: String,
@@ -379,7 +369,6 @@ impl LakeService {
         let total_cols = loaded.lake.slots().iter().map(|s| s.n_cols() as u64).sum();
         LakeService {
             lake: loaded.lake,
-            lsh: loaded.lsh,
             gen_t: GenT::new(config),
             origin: origin.into(),
             lake_label: lake_label.into(),
@@ -429,13 +418,6 @@ impl LakeService {
         self.gen_t.config()
     }
 
-    /// The warm-started LSH index carried by the snapshot, if any —
-    /// decoding it on first call (the daemon's stat endpoints report its
-    /// presence without paying for this).
-    pub fn lsh(&self) -> Result<Option<&LshEnsembleIndex>, StoreError> {
-        self.lsh.force()
-    }
-
     /// The shared lake (borrowed — the service owns the only copy).
     pub fn lake(&self) -> &DataLake {
         &self.lake
@@ -443,7 +425,7 @@ impl LakeService {
 
     /// `/lake/stat`: counts come from slot metadata and the header-derived
     /// totals, the decode gauges from `OnceLock` states — the endpoint
-    /// itself never forces a table or band decode, so statting a lazily
+    /// itself never forces a table decode, so statting a lazily
     /// opened TB-scale lake stays O(tables), not O(cells).
     pub(crate) fn lake_stat(&self) -> Response {
         Response::ok(
@@ -453,8 +435,6 @@ impl LakeService {
                 ("rows".into(), Json::Int(self.total_rows as i64)),
                 ("columns".into(), Json::Int(self.total_cols as i64)),
                 ("index_values".into(), Json::Int(self.lake.index_len() as i64)),
-                ("lsh_columns".into(), Json::Int(self.lsh.n_columns() as i64)),
-                ("lsh_decoded".into(), Json::Bool(self.lsh.is_decoded())),
                 // Lazy-decode observability: how much of the snapshot has
                 // actually been materialized so far.
                 ("tables_decoded".into(), Json::Int(self.lake.tables_decoded() as i64)),
@@ -479,7 +459,6 @@ impl LakeService {
         let g = self.metrics.lake_gauges(&self.lake_label);
         g.tables_decoded.set(self.lake.tables_decoded() as i64);
         g.tables_total.set(self.lake.len() as i64);
-        g.lsh_decoded.set(i64::from(self.lsh.is_decoded()));
         g.quarantined_tables.set(self.quarantined.len() as i64);
     }
 
@@ -1101,7 +1080,6 @@ mod tests {
         // In-memory lakes are fully materialized by construction.
         assert_eq!(v.get("tables_decoded").and_then(Json::as_i64), Some(2));
         assert_eq!(v.get("tables_total").and_then(Json::as_i64), Some(2));
-        assert_eq!(v.get("lsh_decoded"), Some(&Json::Bool(true)));
         let lat = v.get("latency").expect("latency histograms");
         for endpoint in ["healthz", "lake_stat", "reclaim", "other"] {
             let h = lat.get(endpoint).unwrap_or_else(|| panic!("latency.{endpoint}"));

@@ -39,7 +39,7 @@ fn tagged_lake(tag: &str) -> DataLake {
 
 fn save_snapshot(dir: &std::path::Path, name: &str, tag: &str) -> PathBuf {
     let path = dir.join(name);
-    gent_store::snapshot::save(&path, &tagged_lake(tag), None).unwrap();
+    gent_store::snapshot::write(&path, &tagged_lake(tag)).unwrap();
     path
 }
 

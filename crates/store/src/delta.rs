@@ -33,10 +33,8 @@
 //! Frames carry their own string table, so they decode independently of
 //! the base strtab; their index entries hold only the *new* postings
 //! (tables at `first_table..`), merged over the frozen base when
-//! [`gent_discovery::DataLake::from_slots_deferred`]'s index thaws. Appended tables
-//! are covered by the exact inverted index immediately; the LSH bands
-//! cover them after the next compaction (documented degradation —
-//! approximate retrieval simply does not see frame tables yet).
+//! [`gent_discovery::DataLake::from_slots_deferred`]'s index thaws, so
+//! appended tables are discoverable immediately.
 
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -426,10 +424,11 @@ pub fn frame_count(path: &Path) -> Result<(usize, bool), StoreError> {
 
 /// Fold every delta frame back into a clean base file: load the lake
 /// (frames and all), re-freeze the merged index, and atomically rewrite
-/// `path` via the `write_atomic` protocol. Returns the number of frames
-/// folded. The rewrite also re-derives nothing from quarantined state —
-/// compaction of a corrupt file is `fsck --repair`'s job, and this
-/// function loads in normal (strict) mode.
+/// `path` via the `write_atomic` protocol (a retired `lsh` section does not
+/// survive it). Returns the number of frames folded. The rewrite also
+/// re-derives nothing from quarantined state — compaction of a corrupt
+/// file is `fsck --repair`'s job, and this function loads in normal
+/// (strict) mode.
 ///
 /// Fault site: `store.compact.save` (via the shared `store.save.*` sites
 /// inside `write_atomic`).
@@ -441,8 +440,7 @@ pub fn compact(path: &Path) -> Result<usize, StoreError> {
     if let Some(e) = gent_faults::fail_io!("store.compact.save") {
         return Err(StoreError::io(path, e));
     }
-    let lsh = loaded.lsh.force()?.cloned();
-    crate::snapshot::save(path, &loaded.lake, lsh.as_ref())?;
+    crate::snapshot::write(path, &loaded.lake)?;
     crate::telemetry::instruments().compactions.inc();
     Ok(loaded.n_frames)
 }

@@ -17,7 +17,8 @@
 //!            | fold64(header‖entries) u64
 //!            -- strtab, index, lsh (zeros when absent), then one per
 //!            table; absolute file offsets, contiguous, in body order
-//! body    := strtab | tables | index | [lsh]   (lsh iff flags bit 0)
+//! body    := strtab | tables | index | [lsh]   (lsh iff flags bit 0,
+//!            retired: never written, never read — see below)
 //! strtab  := deduplicated strings shared by all tables
 //!            (gent_table::binary::StringTableBuilder)
 //! tables  := columnar table payload × n_tables
@@ -29,9 +30,17 @@
 //!            posting_offsets u32[], arena (u32[] tables ‖ u16[] columns)
 //!            — entries sorted by canonical key bytes, so equal lakes
 //!            produce byte-identical snapshots
-//! lsh     := cfg | columns (bulk signature slots) | partitions
+//! lsh     := opaque bytes (a retired approximate-retrieval index)
 //! frame*  := append-only delta frames (see `crate::delta`)
 //! ```
+//!
+//! The `lsh` section is **retired**: older builds wrote it on request, this
+//! one never does (flag clear, `n_lsh_columns` and the directory entry
+//! zero). A file that still carries one opens normally — the directory
+//! bounds- and contiguity-checks the entry, `fsck` verifies its checksum,
+//! `load` never reads it — and compaction or `fsck --repair` rewrites the
+//! file without it. The header bytes and the directory slot stay so that
+//! files without the section are unchanged.
 //!
 //! The design goal is a **zero-copy, zero-decode open**. The directory
 //! ([`SectionDirV3`]) frames every section, so `load` reads the file once
@@ -69,7 +78,8 @@ pub const FRAME_MAGIC: &[u8; 8] = b"GENTFRM1";
 /// a torn tail: recovery drops it (it was never acknowledged).
 pub const FRAME_COMMIT: &[u8; 8] = b"GENTCMT1";
 
-/// Header flag: the snapshot carries a serialized LSH Ensemble index.
+/// Header flag: the snapshot carries the retired `lsh` section (never set
+/// by this build's writer; see the module docs).
 pub const FLAG_HAS_LSH: u16 = 1 << 0;
 
 /// All flag bits this build understands. Unknown bits are rejected at
@@ -96,12 +106,13 @@ pub struct SnapshotHeader {
     pub total_cols: u64,
     /// Distinct values in the inverted index.
     pub n_index_entries: u64,
-    /// Columns summarised by the LSH index (0 when absent).
+    /// Column count of the retired `lsh` section (0 when absent; never
+    /// read).
     pub n_lsh_columns: u32,
 }
 
 impl SnapshotHeader {
-    /// True when the snapshot carries an LSH index.
+    /// True when the snapshot carries the retired `lsh` section.
     pub fn has_lsh(&self) -> bool {
         self.flags & FLAG_HAS_LSH != 0
     }
@@ -150,6 +161,11 @@ impl SnapshotHeader {
         let total_cols = r.get_u64().expect("length checked");
         let n_index_entries = r.get_u64().expect("length checked");
         let n_lsh_columns = r.get_u32().expect("length checked");
+        if flags & FLAG_HAS_LSH == 0 && n_lsh_columns != 0 {
+            return Err(StoreError::Corrupt(format!(
+                "{n_lsh_columns} lsh columns claimed but the LSH flag is clear"
+            )));
+        }
         let _reserved = r.get_u32().expect("length checked");
         Ok(SnapshotHeader {
             version,
@@ -192,11 +208,10 @@ pub struct SectionEntry {
 }
 
 /// The section directory: where each body section lives, so a reader can
-/// address any table (or skip the LSH export entirely) without
-/// sequentially decoding everything before it. Each entry carries its
-/// section's checksum and the whole is sealed by a **meta checksum**
-/// (fold64 of header‖directory), so a flipped offset or checksum is caught
-/// before any view is built. There is no whole-file trailer and the body
+/// address any table without sequentially decoding everything before it.
+/// Each entry carries its section's checksum and the whole is sealed by a
+/// **meta checksum** (fold64 of header‖directory), so a flipped offset or
+/// checksum is caught before any view is built. There is no whole-file trailer and the body
 /// need not reach the end of the file — append-only delta frames may
 /// follow it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,8 +224,9 @@ pub struct SectionDirV3 {
     /// open verifies it eagerly, because quarantine filtering has to
     /// materialize the posting arena anyway.
     pub index: SectionEntry,
-    /// The LSH export; checksum verified on first [`crate::LshSlot`]
-    /// decode. `None` when the LSH flag is clear (serialized as zeros).
+    /// The retired `lsh` section: bounds- and contiguity-checked, its
+    /// checksum verified by `fsck`, never decoded. `None` when the flag is
+    /// clear (serialized as zeros) — always, for files this build writes.
     pub lsh: Option<SectionEntry>,
     /// One columnar frame per table; each checksum is verified on the
     /// table's first cell decode (`TableSlot::force`).

@@ -8,7 +8,8 @@
 //!
 //! [`fsck_repair`] is the recovery half: open the file in degraded mode
 //! (quarantining whatever fails its checksum), then rewrite a clean v3
-//! base atomically. Quarantined tables persist as empty placeholders so
+//! base atomically (without the retired `lsh` section, if the file still
+//! carried one). Quarantined tables persist as empty placeholders so
 //! table indices — and therefore the inverted index's postings — stay
 //! stable; their data is gone, which is exactly what the checksums said.
 
@@ -46,6 +47,10 @@ pub struct FsckReport {
     /// log. Not a problem — it is the expected shape of a crash mid-append
     /// and recovery drops it — but worth surfacing.
     pub torn_tail: bool,
+    /// Whether the file carries the retired `lsh` section an older build
+    /// wrote. Not a problem — no open reads it — but [`fsck_repair`]
+    /// rewrites the file without it.
+    pub carries_retired_section: bool,
     /// Every detected corruption. Empty means the file is clean.
     pub problems: Vec<FsckProblem>,
 }
@@ -68,8 +73,14 @@ fn problem(problems: &mut Vec<FsckProblem>, what: impl Into<String>, detail: imp
 /// problems in the report.
 pub fn fsck(path: &Path) -> Result<FsckReport, StoreError> {
     let bytes = fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    let mut report =
-        FsckReport { version: 0, n_tables: 0, n_frames: 0, torn_tail: false, problems: Vec::new() };
+    let mut report = FsckReport {
+        version: 0,
+        n_tables: 0,
+        n_frames: 0,
+        torn_tail: false,
+        carries_retired_section: false,
+        problems: Vec::new(),
+    };
     let header = match SnapshotHeader::decode(&bytes) {
         Ok(h) => h,
         Err(e) => {
@@ -105,7 +116,10 @@ pub fn fsck(path: &Path) -> Result<FsckReport, StoreError> {
     if let Err(e) = verify_section(&bytes, &dir.index, "index") {
         problem(&mut report.problems, "index", e);
     }
+    // The retired section is never read, but a flip in it is still a flip
+    // in the file.
     if let Some(entry) = &dir.lsh {
+        report.carries_retired_section = true;
         if let Err(e) = verify_section(&bytes, entry, "lsh") {
             problem(&mut report.problems, "lsh", e);
         }
@@ -133,7 +147,8 @@ pub fn fsck(path: &Path) -> Result<FsckReport, StoreError> {
 
 /// Repair `path` in place: degraded open (corrupt tables → empty
 /// placeholders, corrupt frames dropped from the index, torn tail
-/// discarded), then an atomic rewrite of a clean v3 base with no frames.
+/// discarded), then an atomic rewrite of a clean v3 base with no frames
+/// and no retired `lsh` section.
 ///
 /// Returns the tables that were quarantined — their slots survive as empty
 /// stand-ins so table numbering stays stable, but their rows are
@@ -141,7 +156,6 @@ pub fn fsck(path: &Path) -> Result<FsckReport, StoreError> {
 /// any frames into the base).
 pub fn fsck_repair(path: &Path) -> Result<Vec<QuarantinedTable>, StoreError> {
     let loaded = crate::snapshot::load_degraded(path)?;
-    let lsh = loaded.lsh.force()?.cloned();
-    crate::snapshot::save(path, &loaded.lake, lsh.as_ref())?;
+    crate::snapshot::write(path, &loaded.lake)?;
     Ok(loaded.quarantined)
 }

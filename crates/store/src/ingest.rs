@@ -10,58 +10,27 @@
 //! from (and snapshots byte-identically to) a sequentially built one.
 
 use gent_discovery::lake::Posting;
-use gent_discovery::{DataLake, LshConfig, LshEnsembleIndex};
+use gent_discovery::DataLake;
 use gent_table::{FxHashMap, FxHashSet, Table, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Options for [`ingest_tables`].
-#[derive(Debug, Clone, Default)]
-pub struct IngestOptions {
-    /// Worker threads for per-table scans (0 → all available cores).
-    pub threads: usize,
-    /// Also build an LSH Ensemble index with this configuration, so the
-    /// snapshot can warm-start approximate retrieval.
-    pub lsh: Option<LshConfig>,
-}
-
-impl IngestOptions {
-    fn effective_threads(&self, n_tables: usize) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, n_tables.max(1))
-    }
-}
-
-/// The product of [`ingest_tables`]: a ready lake plus the optional LSH
-/// index, both built in parallel.
-#[derive(Debug, Clone)]
-pub struct IngestedLake {
-    /// The lake with its inverted index.
-    pub lake: DataLake,
-    /// The LSH index, when [`IngestOptions::lsh`] was set.
-    pub lsh: Option<LshEnsembleIndex>,
-}
-
-/// Build a [`DataLake`] (and optionally an LSH index) from `tables`,
-/// parallelising the per-table value scans across scoped threads.
+/// Build a [`DataLake`] from `tables`, parallelising the per-table value
+/// scans across `threads` scoped threads (0 → all available cores).
 ///
 /// # Examples
 ///
 /// ```
-/// use gent_store::{ingest_tables, IngestOptions};
+/// use gent_store::ingest_tables;
 /// use gent_table::{Table, Value};
 ///
 /// let tables = vec![
 ///     Table::build("t", &["x"], &[], vec![vec![Value::Int(1)]]).unwrap(),
 /// ];
-/// let ingested = ingest_tables(tables, &IngestOptions { threads: 2, lsh: None });
-/// assert_eq!(ingested.lake.len(), 1);
-/// assert_eq!(ingested.lake.postings(&Value::Int(1)).len(), 1);
+/// let lake = ingest_tables(tables, 2);
+/// assert_eq!(lake.len(), 1);
+/// assert_eq!(lake.postings(&Value::Int(1)).len(), 1);
 /// ```
-pub fn ingest_tables(mut tables: Vec<Table>, opts: &IngestOptions) -> IngestedLake {
+pub fn ingest_tables(mut tables: Vec<Table>, threads: usize) -> DataLake {
     // Uniquify names up front, exactly as sequential `push_table` would:
     // first claimant keeps the name, later ones get the first free `#k`.
     let mut taken: FxHashSet<String> = FxHashSet::default();
@@ -81,7 +50,11 @@ pub fn ingest_tables(mut tables: Vec<Table>, opts: &IngestOptions) -> IngestedLa
         }
     }
 
-    let threads = opts.effective_threads(tables.len());
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        t => t,
+    }
+    .clamp(1, tables.len().max(1));
 
     // Per-table scans: distinct (value, column) pairs in first-occurrence
     // order, the same order `push_table` appends postings in.
@@ -132,10 +105,7 @@ pub fn ingest_tables(mut tables: Vec<Table>, opts: &IngestOptions) -> IngestedLa
         }
     }
 
-    let lake = DataLake::from_parts(tables, index);
-    let lsh =
-        opts.lsh.as_ref().map(|cfg| LshEnsembleIndex::build_parallel(&lake, cfg.clone(), threads));
-    IngestedLake { lake, lsh }
+    DataLake::from_parts(tables, index)
 }
 
 #[cfg(test)]
@@ -162,7 +132,7 @@ mod tests {
     #[test]
     fn parallel_ingest_matches_sequential_lake() {
         let sequential = DataLake::from_tables(tables());
-        let parallel = ingest_tables(tables(), &IngestOptions { threads: 4, lsh: None }).lake;
+        let parallel = ingest_tables(tables(), 4);
         assert_eq!(parallel.len(), sequential.len());
         assert_eq!(parallel.index_len(), sequential.index_len());
         for (v, postings) in sequential.index_entries() {
@@ -181,16 +151,7 @@ mod tests {
     #[test]
     fn single_thread_path_matches_too() {
         let sequential = DataLake::from_tables(tables());
-        let one = ingest_tables(tables(), &IngestOptions { threads: 1, lsh: None }).lake;
+        let one = ingest_tables(tables(), 1);
         assert_eq!(one.index_len(), sequential.index_len());
-    }
-
-    #[test]
-    fn lsh_option_builds_index() {
-        let got =
-            ingest_tables(tables(), &IngestOptions { threads: 2, lsh: Some(LshConfig::default()) });
-        let lsh = got.lsh.expect("lsh built");
-        let direct = LshEnsembleIndex::build(&got.lake, LshConfig::default());
-        assert_eq!(lsh.export(), direct.export());
     }
 }

@@ -2,28 +2,27 @@
 //!
 //! Gen-T's pipeline assumes a long-lived data lake queried by many source
 //! tables, yet building a [`gent_discovery::DataLake`] is all cold-start
-//! work: every cell is scanned for the inverted value index, and the LSH
-//! retriever rehashes every column. Systems the paper compares against
+//! work: every cell is scanned for the inverted value index. Systems the paper compares against
 //! (JOSIE-style exact containment, MATE-style join search) are viable
 //! precisely because their indexes are built *once* and persisted. This
 //! crate gives the reproduction the same property:
 //!
 //! * [`snapshot`] — a versioned, checksummed on-disk format
 //!   (`"GENTLAKE"` magic) holding the tables **plus** their derived
-//!   structures: the inverted value index and, optionally, the LSH
-//!   Ensemble bands. [`snapshot::save`] / [`snapshot::load`] /
-//!   [`snapshot::stat`];
+//!   structure, the inverted value index. [`snapshot::write()`] /
+//!   [`snapshot::load`] / [`snapshot::stat`];
 //! * [`ingest`] — parallel lake construction over scoped threads,
 //!   producing bit-identical structures to sequential `push_table`;
 //! * [`source`] — the [`LakeSource`] trait with [`InMemory`] (cold) and
 //!   [`SnapshotFile`] (warm) implementations, so pipelines can take
 //!   "a lake from wherever" without caring which;
-//! * [`mod@format`] — the container header shared by save/load/stat.
+//! * [`mod@format`] — the container header shared by write/load/stat;
+//! * [`delta`] and [`mod@fsck`] — append-only delta frames with compaction,
+//!   and offline verification and repair.
 //!
 //! The codec primitives live in [`gent_table::binary`]; this crate owns the
 //! container layout and the discovery warm-start wiring
-//! ([`gent_discovery::DataLake::from_parts`],
-//! [`gent_discovery::LshEnsembleIndex::from_export`]).
+//! ([`gent_discovery::DataLake::from_slots_deferred`]).
 //!
 //! ```no_run
 //! use gent_store::{snapshot, InMemory, LakeSource, SnapshotFile};
@@ -31,7 +30,7 @@
 //! # let tables = vec![];
 //! // Ingest once…
 //! let built = InMemory::new(tables).load_lake()?;
-//! snapshot::save("lake.gentlake".as_ref(), &built.lake, built.lsh.force()?)?;
+//! snapshot::write("lake.gentlake".as_ref(), &built.lake)?;
 //! // …reopen lazily: no table cells decode until a reclaim touches them.
 //! let warm = SnapshotFile("lake.gentlake".into()).load_lake()?;
 //! assert_eq!(warm.lake.tables_decoded(), 0);
@@ -55,12 +54,11 @@ pub use format::{
     SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, SNAPSHOT_FORMAT_VERSION,
 };
 pub use fsck::{fsck, fsck_repair, FsckProblem, FsckReport};
-pub use ingest::{ingest_tables, IngestOptions, IngestedLake};
-pub use snapshot::{load_degraded, LoadedLake, LshSlot, QuarantinedTable, SnapshotStat};
+pub use ingest::ingest_tables;
+pub use snapshot::{load_degraded, LoadedLake, QuarantinedTable, SnapshotStat};
 pub use source::{InMemory, LakeSource, SnapshotFile};
 
-/// Convenience: open just the [`gent_discovery::DataLake`] from a snapshot,
-/// discarding any stored LSH index.
+/// Convenience: open just the [`gent_discovery::DataLake`] from a snapshot.
 ///
 /// # Examples
 ///

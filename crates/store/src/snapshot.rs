@@ -1,33 +1,28 @@
 //! Saving and loading lake snapshots.
 //!
 //! A snapshot persists a [`DataLake`] *together with its derived
-//! structures* — the inverted value index and, optionally, the LSH Ensemble
-//! index. The open path is **zero-copy and lazy**: [`load`] reads the file
-//! once into a shared [`LakeBuf`], verifies the directory's meta checksum,
-//! and then builds *views* instead of copies — the [`FrozenIndex`] arrays
-//! are anchored directly in the buffer on the first posting lookup, each
-//! table becomes a lazy [`TableSlot`] whose cells decode on first touch,
-//! and the LSH export stays undecoded until someone asks for it
-//! ([`LshSlot::force`]); every deferred section verifies its own checksum
-//! when it is first decoded. Opening a lake therefore costs one sequential
-//! read + per-table preamble decode, independent of how many cells the
-//! lake holds; a reclaim touching three tables decodes three.
-//! [`DataLake::decode_all`] restores the old eager behavior.
-//! Reopened lakes answer every retrieval query identically to the lake
-//! they were saved from (see `tests/snapshot_roundtrip.rs` and
+//! structure*, the inverted value index. The open path is **zero-copy and
+//! lazy**: [`load`] reads the file once into a shared [`LakeBuf`], verifies
+//! the directory's meta checksum, and then builds *views* instead of
+//! copies — the [`FrozenIndex`] arrays are anchored directly in the buffer
+//! on the first posting lookup, and each table becomes a lazy
+//! [`TableSlot`] whose cells decode on first touch; every deferred section
+//! verifies its own checksum when it is first decoded. Opening a lake
+//! therefore costs one sequential read + per-table preamble decode,
+//! independent of how many cells the lake holds; a reclaim touching three
+//! tables decodes three. [`DataLake::decode_all`] restores the old eager
+//! behavior. Reopened lakes answer every retrieval query identically to
+//! the lake they were written from (see `tests/snapshot_roundtrip.rs` and
 //! `tests/lazy_open.rs` at the workspace root).
 
 use std::fs;
 use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use gent_discovery::lake::{IndexThaw, Posting};
-use gent_discovery::{
-    DataLake, FrozenIndex, LshColumnExport, LshConfig, LshEnsembleIndex, LshIndexExport,
-    LshPartitionExport,
-};
+use gent_discovery::{DataLake, FrozenIndex};
 use gent_table::binary::{
     decode_string_table, encode_table_columnar, fold64, BinReader, BinWriter, StringTableBuilder,
     TableSlot,
@@ -37,8 +32,8 @@ use gent_table::{FxHashMap, FxHashSet, Table, Value};
 
 use crate::error::StoreError;
 use crate::format::{
-    verify_section, SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, FLAG_HAS_LSH,
-    HEADER_LEN, SNAPSHOT_FORMAT_VERSION,
+    verify_section, SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, HEADER_LEN,
+    SNAPSHOT_FORMAT_VERSION,
 };
 
 /// A table the degraded open replaced with an empty placeholder because
@@ -55,112 +50,18 @@ pub struct QuarantinedTable {
     pub reason: String,
 }
 
-/// A lake loaded from a snapshot: the tables + inverted index, and a slot
-/// for the LSH index when the snapshot carries one.
+/// A lake loaded from a snapshot: the tables + inverted index, and what
+/// the open had to quarantine.
 #[derive(Debug, Clone)]
 pub struct LoadedLake {
     /// The lake, ready for discovery (index served from the snapshot
     /// buffer; tables decode lazily).
     pub lake: DataLake,
-    /// The LSH index slot: present-but-undecoded for snapshots with bands,
-    /// eager for in-memory builds.
-    pub lsh: LshSlot,
     /// Tables the degraded open quarantined (always empty for a normal
     /// open, which errors instead).
     pub quarantined: Vec<QuarantinedTable>,
     /// Committed delta frames folded into this lake's overlay.
     pub n_frames: usize,
-}
-
-impl LoadedLake {
-    /// Wrap an already-materialized lake (+ optional LSH index) — the
-    /// in-memory ingest path.
-    pub fn eager(lake: DataLake, lsh: Option<LshEnsembleIndex>) -> Self {
-        LoadedLake { lake, lsh: LshSlot::eager(lsh), quarantined: Vec::new(), n_frames: 0 }
-    }
-}
-
-/// The LSH Ensemble export of a snapshot, decoded **once, on first use**.
-///
-/// The serve daemon keeps bands alive for its whole life but may never be
-/// asked for approximate retrieval; statting a lake must not pay for band
-/// reconstruction. The slot therefore carries the band section as a range
-/// of the shared snapshot buffer plus the column count (from the header),
-/// and [`LshSlot::force`] memoizes the real decode.
-#[derive(Debug, Clone)]
-pub struct LshSlot {
-    /// The band section and its expected fold64, verified before the
-    /// first decode; `None` for an eager slot.
-    lazy: Option<(LakeBuf, Range<usize>, u64)>,
-    n_columns: u32,
-    cell: OnceLock<Result<Option<LshEnsembleIndex>, String>>,
-}
-
-impl LshSlot {
-    /// Wrap an already-built (or absent) index.
-    pub fn eager(lsh: Option<LshEnsembleIndex>) -> Self {
-        let n_columns = lsh.as_ref().map_or(0, |l| l.n_columns() as u32);
-        let slot = LshSlot { lazy: None, n_columns, cell: OnceLock::new() };
-        let _ = slot.cell.set(Ok(lsh));
-        slot
-    }
-
-    /// A lazy slot over the band section of an opened snapshot, verifying
-    /// `checksum` over it before the first decode (the per-section
-    /// contract).
-    fn lazy_checked(buf: LakeBuf, range: Range<usize>, n_columns: u32, checksum: u64) -> Self {
-        LshSlot { lazy: Some((buf, range, checksum)), n_columns, cell: OnceLock::new() }
-    }
-
-    /// Columns summarised by the bands (0 when absent) — available without
-    /// decoding.
-    pub fn n_columns(&self) -> u32 {
-        self.n_columns
-    }
-
-    /// True once the band section has been decoded *successfully* (always
-    /// true for eager slots); a memoized decode failure reports false, so
-    /// the serve gauge cannot claim bands that never materialized.
-    pub fn is_decoded(&self) -> bool {
-        matches!(self.cell.get(), Some(Ok(_)))
-    }
-
-    /// The index, decoding (and memoizing) the band section on first call;
-    /// `Ok(None)` when the snapshot carries no bands.
-    pub fn force(&self) -> Result<Option<&LshEnsembleIndex>, StoreError> {
-        self.cell
-            .get_or_init(|| self.decode())
-            .as_ref()
-            .map(|o| o.as_ref())
-            .map_err(|m| StoreError::Corrupt(m.clone()))
-    }
-
-    fn decode(&self) -> Result<Option<LshEnsembleIndex>, String> {
-        let Some((buf, range, stored)) = &self.lazy else {
-            return Ok(None); // eager slot: cell was pre-set, not reachable
-        };
-        let computed = fold64(buf.slice(range.clone()));
-        if computed != *stored {
-            return Err(format!(
-                "LSH section checksum mismatch: stored {stored:#018x}, \
-                 computed {computed:#018x}"
-            ));
-        }
-        crate::telemetry::instruments().lsh_decodes.inc();
-        let mut r = BinReader::new(buf.slice(range.clone()));
-        let export = decode_lsh(&mut r).map_err(|e| e.to_string())?;
-        if r.remaining() != 0 {
-            return Err(format!("{} trailing bytes after the LSH section", r.remaining()));
-        }
-        if export.columns.len() as u32 != self.n_columns {
-            return Err(format!(
-                "LSH section holds {} columns, header promised {}",
-                export.columns.len(),
-                self.n_columns
-            ));
-        }
-        LshEnsembleIndex::from_export(export).map(Some)
-    }
 }
 
 /// Summary of a snapshot file, read from the fixed header only — `lake stat`
@@ -173,13 +74,17 @@ pub struct SnapshotStat {
     pub file_bytes: u64,
 }
 
-/// Serialize `lake` (and optionally a built LSH index) to `path` in the
-/// current (v3) format: per-section checksums in the directory, no
-/// whole-file trailer, no delta frames (a freshly saved base is compact
-/// by construction). The write is atomic: bytes are assembled in memory,
-/// written to a temporary sibling file, and renamed over `path`, so a
-/// crash mid-save can neither leave a half-written snapshot nor destroy
-/// the previous one.
+/// Serialize `lake` to `path` in the current (v3) format: per-section
+/// checksums in the directory, no whole-file trailer, no delta frames (a
+/// freshly written base is compact by construction). The write is atomic:
+/// bytes are assembled in memory, written to a temporary sibling file, and
+/// renamed over `path`, so a crash mid-write can neither leave a
+/// half-written snapshot nor destroy the previous one.
+///
+/// The header's LSH flag and column count and the directory's `lsh` entry
+/// are always written as zeros: that section is retired (see
+/// `docs/gentlake-format.md`), so rewriting a file that still carries one
+/// drops it.
 ///
 /// # Examples
 ///
@@ -189,16 +94,12 @@ pub struct SnapshotStat {
 /// # fn main() -> Result<(), gent_store::StoreError> {
 /// # let tables = vec![];
 /// let lake = DataLake::from_tables(tables);
-/// snapshot::save("lake.gentlake".as_ref(), &lake, None)?;
+/// snapshot::write("lake.gentlake".as_ref(), &lake)?;
 /// let reopened = snapshot::load("lake.gentlake".as_ref())?;
 /// assert_eq!(reopened.lake.len(), lake.len());
 /// # Ok(()) }
 /// ```
-pub fn save(
-    path: &Path,
-    lake: &DataLake,
-    lsh: Option<&LshEnsembleIndex>,
-) -> Result<(), StoreError> {
+pub fn write(path: &Path, lake: &DataLake) -> Result<(), StoreError> {
     // A lazily-opened lake materializes every remaining slot up front so
     // any (checksum-defeating) cell corruption surfaces as an error here
     // rather than a panic mid-encode; a deferred index likewise, so the
@@ -206,15 +107,14 @@ pub fn save(
     // cannot trip on unverified bytes.
     lake.decode_all(1)?;
     lake.ensure_index().map_err(StoreError::Corrupt)?;
-    let lsh_export = lsh.map(|i| i.export());
     let header = SnapshotHeader {
         version: SNAPSHOT_FORMAT_VERSION,
-        flags: if lsh_export.is_some() { FLAG_HAS_LSH } else { 0 },
+        flags: 0,
         n_tables: lake.len() as u32,
         total_rows: lake.slots().iter().map(|s| s.n_rows() as u64).sum(),
         total_cols: lake.slots().iter().map(|s| s.n_cols() as u64).sum(),
         n_index_entries: lake.index_len() as u64,
-        n_lsh_columns: lsh_export.as_ref().map_or(0, |e| e.columns.len() as u32),
+        n_lsh_columns: 0,
     };
 
     // Tables are encoded before the string table they fill is serialized
@@ -247,12 +147,6 @@ pub fn save(
     frozen.encode(&mut index);
     let index = index.into_bytes();
 
-    let lsh_bytes = lsh_export.as_ref().map(|e| {
-        let mut w = BinWriter::new();
-        encode_lsh(e, &mut w);
-        w.into_bytes()
-    });
-
     let mut w = BinWriter::new();
     header.encode(&mut w);
     // Section directory: absolute offsets, contiguous, in body order,
@@ -270,7 +164,7 @@ pub fn save(
         strtab: claim(&strtab),
         tables: tables.iter().map(|t| claim(t)).collect(),
         index: claim(&index),
-        lsh: lsh_bytes.as_deref().map(&mut claim),
+        lsh: None,
     };
     dir.encode(&mut w); // seals header‖dir with the meta checksum
     w.put_raw(&strtab);
@@ -278,10 +172,20 @@ pub fn save(
         w.put_raw(t);
     }
     w.put_raw(&index);
-    if let Some(l) = &lsh_bytes {
-        w.put_raw(l);
-    }
     write_atomic(path, w.as_bytes())
+}
+
+/// [`write()`] under its old name and signature, for the bench board's two
+/// calls (`crates/bench/src/bin/board/{run,traced}.rs`), which only a
+/// benchmark-only change may edit: that change moves them to [`write()`] and
+/// deletes this forward. The third argument once carried LSH bands;
+/// `Option<Infallible>` admits only `None`.
+pub fn save(
+    path: &Path,
+    lake: &DataLake,
+    _: Option<std::convert::Infallible>,
+) -> Result<(), StoreError> {
+    write(path, lake)
 }
 
 /// Write-then-rename keeps the previous snapshot intact until the new one
@@ -335,10 +239,12 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Load a snapshot written by [`save`]: verify the directory's meta
-/// checksum and the strtab section (decoded here anyway), and defer table,
-/// index and LSH verification to each section's first decode. A file of
-/// any other format version answers [`StoreError::Version`].
+/// Load a snapshot written by [`write()`]: verify the directory's meta
+/// checksum and the strtab section (decoded here anyway), and defer table
+/// and index verification to each section's first decode. A retired `lsh`
+/// section, if an older build wrote one, is bounds-checked with the
+/// directory and never read. A file of any other format version answers
+/// [`StoreError::Version`].
 pub fn load(path: &Path) -> Result<LoadedLake, StoreError> {
     load_with(path, false)
 }
@@ -387,8 +293,8 @@ fn load_buf_with(buf: LakeBuf, degraded: bool) -> Result<LoadedLake, StoreError>
 /// The open: build views into `buf`, decode only preambles, defer
 /// everything else — no O(file) checksum pass. The directory's meta
 /// checksum and the strtab section are verified here (the strtab is
-/// decoded eagerly anyway); each table, the index and the LSH bands are
-/// verified on their first decode. Delta frames after the body are
+/// decoded eagerly anyway); each table and the index are verified on their
+/// first decode. Delta frames after the body are
 /// scanned, checksum-verified (they are small), and folded into the lake
 /// as an index overlay; a torn tail frame is dropped with a structured
 /// warning.
@@ -527,27 +433,6 @@ fn load_v3(
 
     // Quarantined frame tables contributed no delta entries (the scanner
     // clears them), so the overlay needs no filtering here.
-    let lsh = match dir.lsh {
-        Some(section) => {
-            if degraded && verify_section(buf.as_slice(), &section, "lsh").is_err() {
-                gent_obs::log(
-                    gent_obs::Level::Warn,
-                    "gent_store::snapshot",
-                    "corrupt LSH section dropped in degraded open",
-                    &[],
-                );
-                LshSlot::eager(None)
-            } else {
-                LshSlot::lazy_checked(
-                    buf.clone(),
-                    section.range.range(),
-                    header.n_lsh_columns,
-                    section.checksum,
-                )
-            }
-        }
-        None => LshSlot::eager(None),
-    };
     let n_frames = scan.frames.len();
 
     // Index: nothing is verified or materialized by a strict open. The
@@ -573,7 +458,7 @@ fn load_v3(
     if degraded {
         lake.ensure_index().map_err(StoreError::Corrupt)?;
     }
-    Ok(LoadedLake { lake, lsh, quarantined, n_frames })
+    Ok(LoadedLake { lake, quarantined, n_frames })
 }
 
 /// Verify the index section and materialize its [`FrozenIndex`] — what the
@@ -791,114 +676,6 @@ pub fn stat(path: &Path) -> Result<SnapshotStat, StoreError> {
     Ok(SnapshotStat { header: SnapshotHeader::decode(&head)?, file_bytes })
 }
 
-fn encode_lsh(e: &LshIndexExport, w: &mut BinWriter) {
-    w.put_u32(e.cfg.num_perm as u32);
-    w.put_u32(e.cfg.num_bands as u32);
-    w.put_u32(e.cfg.num_partitions as u32);
-    w.put_u64(e.cfg.seed);
-    w.put_u32(e.cfg.min_column_size as u32);
-
-    w.put_u32(e.columns.len() as u32);
-    for c in &e.columns {
-        w.put_u32(c.posting.table);
-        w.put_u16(c.posting.column);
-        w.put_u64(c.size);
-        for &slot in &c.slots {
-            w.put_u64(slot);
-        }
-    }
-
-    w.put_u32(e.partitions.len() as u32);
-    for p in &e.partitions {
-        w.put_u32(p.members.len() as u32);
-        for &m in &p.members {
-            w.put_u32(m);
-        }
-        w.put_u64(p.max_size);
-        for band in &p.buckets {
-            w.put_u32(band.len() as u32);
-            for (hash, members) in band {
-                w.put_u64(*hash);
-                w.put_u32(members.len() as u32);
-                for &m in members {
-                    w.put_u32(m);
-                }
-            }
-        }
-    }
-}
-
-fn decode_lsh(r: &mut BinReader<'_>) -> Result<LshIndexExport, StoreError> {
-    let num_perm = r.get_u32()? as usize;
-    let num_bands = r.get_u32()? as usize;
-    let num_partitions = r.get_u32()? as usize;
-    let seed = r.get_u64()?;
-    let min_column_size = r.get_u32()? as usize;
-    let cfg = LshConfig { num_perm, num_bands, num_partitions, seed, min_column_size };
-    if num_perm == 0 || num_perm > 1 << 20 {
-        return Err(StoreError::Corrupt(format!("implausible LSH num_perm {num_perm}")));
-    }
-    if num_bands == 0 || num_bands > num_perm {
-        return Err(StoreError::Corrupt(format!("implausible LSH num_bands {num_bands}")));
-    }
-
-    // As in `load`: never size an allocation from an on-disk count without
-    // checking the bytes are actually there (each entry costs ≥ 1 byte).
-    let guard = |n: usize, left: usize, what: &str| -> Result<(), StoreError> {
-        if n > left {
-            Err(StoreError::Corrupt(format!(
-                "LSH section claims {n} {what} with {left} bytes left"
-            )))
-        } else {
-            Ok(())
-        }
-    };
-
-    let n_columns = r.get_u32()? as usize;
-    guard(n_columns, r.remaining(), "columns")?;
-    let mut columns = Vec::with_capacity(n_columns);
-    for _ in 0..n_columns {
-        let table = r.get_u32()?;
-        let column = r.get_u16()?;
-        let size = r.get_u64()?;
-        let slots = r.get_u64s(num_perm)?;
-        columns.push(LshColumnExport { posting: Posting { table, column }, size, slots });
-    }
-
-    let n_parts = r.get_u32()? as usize;
-    guard(n_parts, r.remaining(), "partitions")?;
-    let mut partitions = Vec::with_capacity(n_parts);
-    for _ in 0..n_parts {
-        let n_members = r.get_u32()? as usize;
-        guard(n_members, r.remaining(), "members")?;
-        let mut members = Vec::with_capacity(n_members);
-        for _ in 0..n_members {
-            members.push(r.get_u32()?);
-        }
-        let max_size = r.get_u64()?;
-        let mut buckets = Vec::with_capacity(num_bands);
-        for _ in 0..num_bands {
-            let n_buckets = r.get_u32()? as usize;
-            guard(n_buckets, r.remaining(), "buckets")?;
-            let mut band = Vec::with_capacity(n_buckets);
-            for _ in 0..n_buckets {
-                let hash = r.get_u64()?;
-                let n = r.get_u32()? as usize;
-                guard(n, r.remaining(), "bucket members")?;
-                let mut ms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ms.push(r.get_u32()?);
-                }
-                band.push((hash, ms));
-            }
-            buckets.push(band);
-        }
-        partitions.push(LshPartitionExport { members, max_size, buckets });
-    }
-
-    Ok(LshIndexExport { cfg, columns, partitions })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,9 +710,8 @@ mod tests {
     fn save_load_round_trip() {
         let l = lake();
         let path = scratch("roundtrip.gentlake");
-        save(&path, &l, None).unwrap();
+        write(&path, &l).unwrap();
         let loaded = load(&path).unwrap();
-        assert!(loaded.lsh.force().unwrap().is_none());
         assert_eq!(loaded.lake.len(), l.len());
         assert_eq!(loaded.lake.index_len(), l.index_len());
         for probe in [V::Int(3), V::Int(1005), V::str("c7"), V::str("nope")] {
@@ -948,18 +724,15 @@ mod tests {
     }
 
     /// The acceptance property of the zero-copy open: loading decodes *no*
-    /// table cells and no LSH bands; metadata and posting lookups work on
-    /// the undecoded lake; touching one table decodes exactly that table.
+    /// table cells; metadata and posting lookups work on the undecoded
+    /// lake; touching one table decodes exactly that table.
     #[test]
     fn lazy_open_decodes_nothing_until_touched() {
         let l = lake();
-        let lsh = LshEnsembleIndex::build(&l, LshConfig::default());
         let path = scratch("lazy.gentlake");
-        save(&path, &l, Some(&lsh)).unwrap();
+        write(&path, &l).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.lake.tables_decoded(), 0, "open must not decode tables");
-        assert!(!loaded.lsh.is_decoded(), "open must not decode LSH bands");
-        assert!(loaded.lsh.n_columns() > 0, "column count available without decode");
 
         // Metadata + index lookups leave everything undecoded.
         assert_eq!(loaded.lake.len(), 2);
@@ -976,19 +749,6 @@ mod tests {
         // decode_all restores the eager world.
         loaded.lake.decode_all(2).unwrap();
         assert_eq!(loaded.lake.tables_decoded(), 2);
-        let warm = loaded.lsh.force().unwrap().expect("lsh present");
-        assert_eq!(warm.export(), lsh.export());
-    }
-
-    #[test]
-    fn save_load_with_lsh() {
-        let l = lake();
-        let lsh = LshEnsembleIndex::build(&l, LshConfig::default());
-        let path = scratch("with-lsh.gentlake");
-        save(&path, &l, Some(&lsh)).unwrap();
-        let loaded = load(&path).unwrap();
-        let warm = loaded.lsh.force().unwrap().expect("lsh present");
-        assert_eq!(warm.export(), lsh.export());
     }
 
     /// Resaving a lazily-opened lake reproduces the file byte-for-byte:
@@ -996,14 +756,11 @@ mod tests {
     /// the bulk-copy path.
     #[test]
     fn resave_of_lazy_lake_is_byte_identical() {
-        let l = lake();
-        let lsh = LshEnsembleIndex::build(&l, LshConfig::default());
         let p1 = scratch("resave-1.gentlake");
         let p2 = scratch("resave-2.gentlake");
-        save(&p1, &l, Some(&lsh)).unwrap();
+        write(&p1, &lake()).unwrap();
         let loaded = load(&p1).unwrap();
-        let relsh = loaded.lsh.force().unwrap().cloned();
-        save(&p2, &loaded.lake, relsh.as_ref()).unwrap();
+        write(&p2, &loaded.lake).unwrap();
         assert_eq!(fs::read(&p1).unwrap(), fs::read(&p2).unwrap());
     }
 
@@ -1011,7 +768,7 @@ mod tests {
     fn stat_reads_header_only() {
         let l = lake();
         let path = scratch("stat.gentlake");
-        save(&path, &l, None).unwrap();
+        write(&path, &l).unwrap();
         let s = stat(&path).unwrap();
         assert_eq!(s.header.version, SNAPSHOT_FORMAT_VERSION);
         assert_eq!(s.header.n_tables, 2);
@@ -1026,15 +783,27 @@ mod tests {
     fn identical_lakes_produce_identical_bytes() {
         let p1 = scratch("stable-1.gentlake");
         let p2 = scratch("stable-2.gentlake");
-        save(&p1, &lake(), None).unwrap();
-        save(&p2, &lake(), None).unwrap();
+        write(&p1, &lake()).unwrap();
+        write(&p2, &lake()).unwrap();
         assert_eq!(fs::read(&p1).unwrap(), fs::read(&p2).unwrap());
+    }
+
+    /// The bytes [`write()`] produces, pinned across commits: length and
+    /// fold64 of `write(lake())`. A change here is a format change — bump
+    /// [`SNAPSHOT_FORMAT_VERSION`] and re-pin, never re-pin alone.
+    #[test]
+    fn written_bytes_are_pinned() {
+        let path = scratch("golden.gentlake");
+        write(&path, &lake()).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 5758);
+        assert_eq!(fold64(&bytes), 0x70f8_b1ad_1cda_4e25);
     }
 
     #[test]
     fn corruption_detected_on_first_touch() {
         let path = scratch("corrupt.gentlake");
-        save(&path, &lake(), None).unwrap();
+        write(&path, &lake()).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -1044,11 +813,7 @@ mod tests {
         // flip as a structured error — corrupt bytes are never served.
         let surfaced = match load(&path) {
             Err(e) => matches!(e, StoreError::Corrupt(_)),
-            Ok(loaded) => {
-                loaded.lake.decode_all(1).is_err()
-                    || loaded.lake.ensure_index().is_err()
-                    || loaded.lsh.force().is_err()
-            }
+            Ok(loaded) => loaded.lake.decode_all(1).is_err() || loaded.lake.ensure_index().is_err(),
         };
         assert!(surfaced, "a flipped byte must fail a fully forced open");
     }

@@ -6,48 +6,47 @@
 //! obtained" (the CLI's `reclaim`, the bench harness) take a `LakeSource`
 //! and stay agnostic:
 //!
-//! * [`InMemory`] — ingest tables now (parallel scans, optional LSH build),
+//! * [`InMemory`] — ingest tables now (parallel scans),
 //! * [`SnapshotFile`] — decode a `lake build` snapshot, warm-starting the
-//!   inverted index and any stored LSH bands without rehashing a value.
+//!   inverted index without rehashing a value.
 
 use std::path::PathBuf;
 
 use gent_table::Table;
 
 use crate::error::StoreError;
-use crate::ingest::{ingest_tables, IngestOptions};
+use crate::ingest::ingest_tables;
 use crate::snapshot::{self, LoadedLake};
 
 /// A source a [`gent_discovery::DataLake`] can be realised from.
 pub trait LakeSource {
-    /// Produce the lake (and any warm-started LSH index).
+    /// Produce the lake.
     fn load_lake(self) -> Result<LoadedLake, StoreError>;
 }
 
-/// Build the lake in memory from tables (the cold path).
+/// Build the lake in memory from tables (the cold path), scanning them on
+/// every available core.
 #[derive(Debug, Clone, Default)]
 pub struct InMemory {
     /// The tables to ingest.
     pub tables: Vec<Table>,
-    /// Ingest options (thread count, optional LSH).
-    pub options: IngestOptions,
 }
 
 impl InMemory {
-    /// Ingest `tables` with default options.
+    /// Ingest `tables`.
     pub fn new(tables: Vec<Table>) -> Self {
-        InMemory { tables, options: IngestOptions::default() }
+        InMemory { tables }
     }
 }
 
 impl LakeSource for InMemory {
     fn load_lake(self) -> Result<LoadedLake, StoreError> {
-        let ingested = ingest_tables(self.tables, &self.options);
-        Ok(LoadedLake::eager(ingested.lake, ingested.lsh))
+        let lake = ingest_tables(self.tables, 0);
+        Ok(LoadedLake { lake, quarantined: Vec::new(), n_frames: 0 })
     }
 }
 
-/// Reopen a snapshot written by [`crate::snapshot::save`] (the warm path).
+/// Reopen a snapshot written by [`crate::snapshot::write()`] (the warm path).
 #[derive(Debug, Clone)]
 pub struct SnapshotFile(pub PathBuf);
 
@@ -74,7 +73,7 @@ mod tests {
         let cold = InMemory::new(tables()).load_lake().unwrap();
         let path =
             std::env::temp_dir().join(format!("gent-store-source-{}.gentlake", std::process::id()));
-        snapshot::save(&path, &cold.lake, None).unwrap();
+        snapshot::write(&path, &cold.lake).unwrap();
         let warm = SnapshotFile(path).load_lake().unwrap();
         assert_eq!(warm.lake.len(), cold.lake.len());
         assert_eq!(warm.lake.postings(&V::Int(7)), cold.lake.postings(&V::Int(7)));

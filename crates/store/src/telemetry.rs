@@ -17,10 +17,6 @@ pub(crate) struct Instruments {
     /// (checksum pass + preamble decode; excludes the filesystem read for
     /// `load_buf` callers).
     pub open_duration: Arc<Histogram>,
-    /// `gent_store_lsh_decodes_total` — LSH band sections actually decoded
-    /// (a [`crate::LshSlot::force`] that hits the memoized cell does not
-    /// count).
-    pub lsh_decodes: Arc<Counter>,
     /// `gent_store_delta_appends_total` — delta frames appended to v3
     /// snapshots by this process.
     pub delta_appends: Arc<Counter>,
@@ -53,11 +49,6 @@ pub(crate) fn instruments() -> &'static Instruments {
                 "Wall-clock time per snapshot open (microseconds)",
                 &[],
                 LATENCY_BOUNDS_US,
-            ),
-            lsh_decodes: reg.counter(
-                "gent_store_lsh_decodes_total",
-                "LSH band sections decoded (memoized forces not counted)",
-                &[],
             ),
             delta_appends: reg.counter(
                 "gent_store_delta_appends_total",

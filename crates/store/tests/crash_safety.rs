@@ -83,9 +83,6 @@ fn truncation_points(bytes: &[u8]) -> Vec<usize> {
         push_section(t);
     }
     push_section(&dir.index);
-    if let Some(l) = &dir.lsh {
-        push_section(l);
-    }
     bounds.push(body_end);
     bounds.sort_unstable();
     bounds.dedup();
@@ -119,11 +116,11 @@ fn power_cut_at_every_section_boundary_keeps_old_snapshot_loadable() {
 
     let old = lake_with(2, "old");
     let new = lake_with(3, "new");
-    snapshot::save(&path, &old, None).unwrap();
+    snapshot::write(&path, &old).unwrap();
     let old_bytes = fs::read(&path).unwrap();
 
     let staging = s.0.join("staging.gentlake");
-    snapshot::save(&staging, &new, None).unwrap();
+    snapshot::write(&staging, &new).unwrap();
     let new_bytes = fs::read(&staging).unwrap();
 
     let cuts = truncation_points(&new_bytes);
@@ -139,7 +136,7 @@ fn power_cut_at_every_section_boundary_keeps_old_snapshot_loadable() {
 
         // The next save must shrug off the stale tmp, land the new
         // snapshot, and leave no debris.
-        snapshot::save(&path, &new, None)
+        snapshot::write(&path, &new)
             .unwrap_or_else(|e| panic!("save after {cut}-byte torn tmp failed: {e}"));
         assert!(!tmp_path(&path).exists(), "stale tmp must be gone after a save (cut {cut})");
         assert_eq!(snapshot::load(&path).unwrap().lake.len(), 3);
@@ -166,7 +163,7 @@ fn stale_tmp_from_previous_crash_does_not_fail_save() {
     let path = s.0.join("lake.gentlake");
     fs::write(tmp_path(&path), b"debris from a crashed writer").unwrap();
 
-    snapshot::save(&path, &lake_with(2, "fresh"), None).expect("save over stale tmp");
+    snapshot::write(&path, &lake_with(2, "fresh")).expect("save over stale tmp");
     assert!(!tmp_path(&path).exists(), "save must clear the stale tmp");
     assert_eq!(snapshot::load(&path).unwrap().lake.len(), 2);
 }
@@ -181,14 +178,14 @@ fn injected_save_faults_leave_old_snapshot_intact() {
     let path = s.0.join("lake.gentlake");
     let old = lake_with(2, "old");
     let new = lake_with(3, "new");
-    snapshot::save(&path, &old, None).unwrap();
+    snapshot::write(&path, &old).unwrap();
 
     for site in ["store.save.write", "store.save.sync", "store.save.rename"] {
         gent_faults::reset();
         gent_faults::arm(site, gent_faults::Trigger::NthHit(1));
         gent_faults::set_enabled(true);
 
-        let err = snapshot::save(&path, &new, None).expect_err(site);
+        let err = snapshot::write(&path, &new).expect_err(site);
         assert!(
             err.to_string().contains("injected fault"),
             "{site}: error must carry the injection tag, got: {err}"
@@ -203,7 +200,7 @@ fn injected_save_faults_leave_old_snapshot_intact() {
     // And with the layer disabled, the same armed site is a no-op.
     gent_faults::reset();
     gent_faults::arm("store.save.write", gent_faults::Trigger::Always);
-    snapshot::save(&path, &new, None).expect("disabled fault layer must not fire");
+    snapshot::write(&path, &new).expect("disabled fault layer must not fire");
     assert_eq!(snapshot::load(&path).unwrap().lake.len(), 3);
     gent_faults::reset();
 }
@@ -229,7 +226,7 @@ fn power_cut_at_every_delta_frame_byte_recovers_acknowledged_frames() {
     let s = Scratch::new("framecut");
     let path = s.0.join("lake.gentlake");
 
-    snapshot::save(&path, &lake_with(2, "base"), None).unwrap();
+    snapshot::write(&path, &lake_with(2, "base")).unwrap();
     let base_len = fs::metadata(&path).unwrap().len() as usize;
     gent_store::append_tables(&path, &[frame_table("frame_a")]).unwrap();
     let len_a = fs::metadata(&path).unwrap().len() as usize;
@@ -282,7 +279,7 @@ fn injected_append_faults_never_lose_acknowledged_frames() {
     let _g = locked();
     let s = Scratch::new("appendfaults");
     let path = s.0.join("lake.gentlake");
-    snapshot::save(&path, &lake_with(2, "base"), None).unwrap();
+    snapshot::write(&path, &lake_with(2, "base")).unwrap();
     gent_store::append_tables(&path, &[frame_table("acked")]).unwrap();
 
     for (i, site) in
@@ -328,7 +325,7 @@ fn compaction_failure_leaves_framed_snapshot_intact() {
     let _g = locked();
     let s = Scratch::new("compactfault");
     let path = s.0.join("lake.gentlake");
-    snapshot::save(&path, &lake_with(2, "base"), None).unwrap();
+    snapshot::write(&path, &lake_with(2, "base")).unwrap();
     gent_store::append_tables(&path, &[frame_table("fa")]).unwrap();
     gent_store::append_tables(&path, &[frame_table("fb")]).unwrap();
     assert_eq!(gent_store::frame_count(&path).unwrap(), (2, false));
@@ -365,7 +362,7 @@ fn injected_read_fault_is_transient() {
     let _g = locked();
     let s = Scratch::new("readfault");
     let path = s.0.join("lake.gentlake");
-    snapshot::save(&path, &lake_with(2, "x"), None).unwrap();
+    snapshot::write(&path, &lake_with(2, "x")).unwrap();
 
     gent_faults::reset();
     gent_faults::arm("store.load.read", gent_faults::Trigger::NthHit(1));

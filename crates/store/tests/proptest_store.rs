@@ -99,7 +99,7 @@ proptest! {
             std::process::id(),
             fold64(repr(lake.get(0).unwrap()).as_bytes())
         ));
-        snapshot::save(&path, &lake, None)
+        snapshot::write(&path, &lake)
             .map_err(|e| TestCaseError::fail(format!("save failed: {e}")))?;
         let loaded = snapshot::load(&path)
             .map_err(|e| TestCaseError::fail(format!("load failed: {e}")))?;

@@ -24,7 +24,7 @@ fn sequential_reclaims_share_one_lake_handle() {
     let path = snapshot_path("sequential.gentlake");
     {
         let built = InMemory::new(bench.lake_tables.clone()).load_lake().unwrap();
-        snapshot::save(&path, &built.lake, None).unwrap();
+        snapshot::write(&path, &built.lake).unwrap();
     }
 
     // ONE source: open the snapshot once, reclaim twice against the handle.
@@ -63,7 +63,7 @@ fn concurrent_reclaims_borrow_the_same_arc() {
     let path = snapshot_path("concurrent.gentlake");
     {
         let built = InMemory::new(bench.lake_tables.clone()).load_lake().unwrap();
-        snapshot::save(&path, &built.lake, None).unwrap();
+        snapshot::write(&path, &built.lake).unwrap();
     }
     let loaded = Arc::new(SnapshotFile(path).load_lake().unwrap());
     let gen_t = GenT::new(GenTConfig::default());

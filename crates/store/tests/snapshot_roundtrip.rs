@@ -1,8 +1,8 @@
 //! Acceptance tests for the store subsystem: a snapshot-loaded lake is
 //! *retrieval-identical* to the freshly built in-memory lake on a real
-//! `datagen` benchmark suite — same inverted index answers, same exact and
-//! LSH retrieval, same originating tables and EIS from the full Gen-T
-//! pipeline — and reopening the snapshot beats rebuilding from CSV.
+//! `datagen` benchmark suite — same inverted index answers, same
+//! first-stage retrieval, same originating tables and EIS from the full
+//! Gen-T pipeline — and reopening the snapshot beats rebuilding from CSV.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,10 +11,8 @@ use std::time::Instant;
 use gent_core::{GenT, GenTConfig};
 use gent_datagen::suite::{build, BenchmarkId, SuiteConfig};
 use gent_datagen::webgen::WebCorpusConfig;
-use gent_discovery::{
-    DataLake, LshConfig, LshEnsembleIndex, LshRetriever, OverlapRetriever, TableRetriever,
-};
-use gent_store::{ingest_tables, snapshot, IngestOptions};
+use gent_discovery::{DataLake, OverlapRetriever, TableRetriever};
+use gent_store::{ingest_tables, snapshot};
 use gent_table::csv;
 
 struct Scratch(PathBuf);
@@ -57,7 +55,7 @@ fn reclaim_from_snapshot_matches_in_memory() {
 
     let cold = DataLake::from_tables(bench.lake_tables.clone());
     let snap = s.0.join("lake.gentlake");
-    snapshot::save(&snap, &cold, None).unwrap();
+    snapshot::write(&snap, &cold).unwrap();
     let warm = snapshot::load(&snap).unwrap().lake;
 
     let gen_t = GenT::new(GenTConfig::default());
@@ -84,25 +82,17 @@ fn reclaim_from_snapshot_matches_in_memory() {
     }
 }
 
-/// Exact and approximate retrieval agree result-for-result between the
-/// cold lake and the snapshot (including warm-started LSH bands).
+/// First-stage retrieval agrees result-for-result between the cold lake
+/// and the snapshot.
 #[test]
 fn retrieval_identical_after_snapshot_load() {
     let s = Scratch::new("retrieval");
     let bench = build(BenchmarkId::TpTrSmall, &tiny_suite());
 
-    let ingested = ingest_tables(
-        bench.lake_tables.clone(),
-        &IngestOptions { threads: 2, lsh: Some(LshConfig::default()) },
-    );
-    let cold_lake = ingested.lake;
-    let cold_lsh = ingested.lsh.expect("lsh requested");
-
+    let cold_lake = ingest_tables(bench.lake_tables.clone(), 2);
     let snap = s.0.join("lake.gentlake");
-    snapshot::save(&snap, &cold_lake, Some(&cold_lsh)).unwrap();
-    let loaded = snapshot::load(&snap).unwrap();
-    let warm_lake = loaded.lake;
-    let warm_lsh = loaded.lsh.force().expect("lsh decodes").cloned().expect("lsh persisted");
+    snapshot::write(&snap, &cold_lake).unwrap();
+    let warm_lake = snapshot::load(&snap).unwrap().lake;
 
     // The inverted index answers identically for every indexed value.
     assert_eq!(warm_lake.index_len(), cold_lake.index_len());
@@ -110,19 +100,11 @@ fn retrieval_identical_after_snapshot_load() {
         assert_eq!(warm_lake.postings(&v), postings, "postings({v}) diverge");
     }
 
-    let cold_retr = LshRetriever::from_index(cold_lsh, 0.3);
-    let warm_retr = LshRetriever::from_index(warm_lsh, 0.3);
     for case in bench.cases.iter().take(8) {
         assert_eq!(
             OverlapRetriever.retrieve(&cold_lake, &case.source, 10),
             OverlapRetriever.retrieve(&warm_lake, &case.source, 10),
             "exact retrieval diverges on S{}",
-            case.id
-        );
-        assert_eq!(
-            cold_retr.retrieve(&cold_lake, &case.source, 10),
-            warm_retr.retrieve(&warm_lake, &case.source, 10),
-            "LSH retrieval diverges on S{}",
             case.id
         );
     }
@@ -137,9 +119,9 @@ fn sequential_and_parallel_ingest_snapshot_identically() {
     let bench = build(BenchmarkId::TpTrSmall, &tiny_suite());
     let a = s.0.join("sequential.gentlake");
     let b = s.0.join("parallel.gentlake");
-    snapshot::save(&a, &DataLake::from_tables(bench.lake_tables.clone()), None).unwrap();
-    let parallel = ingest_tables(bench.lake_tables, &IngestOptions { threads: 4, lsh: None });
-    snapshot::save(&b, &parallel.lake, None).unwrap();
+    snapshot::write(&a, &DataLake::from_tables(bench.lake_tables.clone())).unwrap();
+    let parallel = ingest_tables(bench.lake_tables, 4);
+    snapshot::write(&b, &parallel).unwrap();
     assert_eq!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
 }
 
@@ -158,19 +140,16 @@ fn snapshot_open_beats_csv_rebuild() {
     for t in &bench.lake_tables {
         csv::write_csv_file(t, &csv_dir.join(format!("{}.csv", t.name()))).unwrap();
     }
-    let lake = DataLake::from_tables(bench.lake_tables.clone());
-    let lsh = LshEnsembleIndex::build(&lake, LshConfig::default());
     let snap = s.0.join("lake.gentlake");
-    snapshot::save(&snap, &lake, Some(&lsh)).unwrap();
+    snapshot::write(&snap, &DataLake::from_tables(bench.lake_tables.clone())).unwrap();
 
-    // Cold: parse every CSV, rebuild the inverted index and the LSH bands.
+    // Cold: parse every CSV, rebuild the inverted index.
     let t0 = Instant::now();
     let mut paths: Vec<PathBuf> =
         fs::read_dir(&csv_dir).unwrap().map(|e| e.unwrap().path()).collect();
     paths.sort();
     let tables: Vec<_> = paths.iter().map(|p| csv::read_csv_file(p).unwrap()).collect();
     let cold = DataLake::from_tables(tables);
-    let _cold_lsh = LshEnsembleIndex::build(&cold, LshConfig::default());
     let cold_time = t0.elapsed();
 
     // Warm: one read + decode.

@@ -644,7 +644,7 @@ pub fn decode_table_cells(
 /// is decoded **once, on first access**, memoized behind a [`OnceLock`].
 ///
 /// This is the ownership pivot of the zero-copy open path: a
-/// `DataLake` loaded from a v2 snapshot holds `TableSlot`s viewing the
+/// `DataLake` loaded from a snapshot holds `TableSlot`s viewing the
 /// shared [`LakeBuf`], so opening a TB-scale lake decodes *no* cells, a
 /// reclaim touching three tables decodes three, and an explicit
 /// `decode_all` restores the old eager behavior.
@@ -670,15 +670,16 @@ struct LazyCells {
     cells: Range<usize>,
     /// The snapshot-wide interned string table, shared by every slot.
     strings: Arc<[Arc<str>]>,
-    /// v3 per-section integrity: the full section range (preamble + cells)
+    /// Per-section integrity: the full section range (preamble + cells)
     /// and its expected [`fold64`], verified once before the first cell
-    /// decode. `None` for v2 slots, whose file carried a whole-file
-    /// checksum verified at open.
+    /// decode. `None` for slots whose bytes were verified before the slot
+    /// was built (delta-frame tables, a degraded open's survivors).
     check: Option<(Range<usize>, u64)>,
 }
 
 impl TableSlot {
-    /// Wrap an already-materialized table (in-memory lakes, v1 snapshots).
+    /// Wrap an already-materialized table (in-memory lakes, quarantine
+    /// placeholders).
     pub fn eager(table: Table) -> Self {
         let slot = TableSlot {
             name: table.name().to_string(),
@@ -723,8 +724,8 @@ impl TableSlot {
     /// [`TableSlot::lazy`] plus a deferred integrity check: `checksum` is
     /// the expected [`fold64`] of the *whole* `range` (preamble + cells),
     /// verified once before the first cell decode. A corrupted section
-    /// surfaces as a structured decode error at first touch — the v3
-    /// snapshot's per-section replacement for v2's O(file) open-time pass.
+    /// surfaces as a structured decode error at first touch, so an open
+    /// needs no O(file) checksum pass.
     /// (The preamble is decoded here, before verification: its decoder is
     /// total, and the cross-checks at open plus the checksum at first
     /// force bound what unverified preamble bytes can do.)

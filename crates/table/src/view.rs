@@ -1,7 +1,7 @@
 //! Zero-copy backing for snapshot-loaded structures: [`LakeBuf`] and the
 //! view types that borrow from it.
 //!
-//! A v2 `*.gentlake` snapshot is opened by reading the whole file **once**
+//! A `*.gentlake` snapshot is opened by reading the whole file **once**
 //! into a single reference-counted buffer. Every structure decoded from it
 //! — the frozen inverted index's open-addressing arrays, the canonical
 //! value blob, lazily-decoded table payloads — then *views* ranges of that

@@ -176,7 +176,7 @@ proptest! {
     }
 
     /// Eq and Hash are consistent — the HashMap/HashSet contract, which the
-    /// inverted index and minhash rely on (especially across Int/Float).
+    /// inverted index and Set Similarity rely on (especially across Int/Float).
     #[test]
     fn eq_implies_same_hash(a in any_value(), b in any_value()) {
         if a == b {

@@ -3,7 +3,7 @@
 //! The Gen-T pipeline assumes a long-lived lake queried by many source
 //! tables, but an in-memory [`DataLake`] pays the full indexing cost on
 //! every process start. `gent-store` fixes that: ingest once (in parallel),
-//! snapshot the lake *with* its inverted index and LSH bands, and every
+//! snapshot the lake *with* its inverted index, and every
 //! later run reopens it at memory-copy speed.
 //!
 //! ```text
@@ -13,31 +13,26 @@
 use std::time::Instant;
 
 use gen_t::datagen::suite::{build, BenchmarkId, SuiteConfig};
-use gen_t::discovery::LshConfig;
 use gen_t::prelude::*;
-use gen_t::store::{ingest_tables, snapshot, IngestOptions, LakeSource, SnapshotFile};
+use gen_t::store::{ingest_tables, snapshot, LakeSource, SnapshotFile};
 
 fn main() {
     // A TPC-H-style benchmark lake (32 tables) plus its reclamation tasks.
     let bench = build(BenchmarkId::TpTrSmall, &SuiteConfig::default());
     let snap = std::env::temp_dir().join("persistent_lake_demo.gentlake");
 
-    // ── Ingest once: parallel scans + LSH signatures, then snapshot. ────
+    // ── Ingest once: parallel scans, then snapshot. ─────────────────────
     let t0 = Instant::now();
-    let ingested = ingest_tables(
-        bench.lake_tables.clone(),
-        &IngestOptions { threads: 0, lsh: Some(LshConfig::default()) },
-    );
-    snapshot::save(&snap, &ingested.lake, ingested.lsh.as_ref()).expect("save snapshot");
+    let lake = ingest_tables(bench.lake_tables.clone(), 0);
+    snapshot::write(&snap, &lake).expect("save snapshot");
     let build_time = t0.elapsed();
 
     let stat = snapshot::stat(&snap).expect("stat");
     println!(
-        "built + saved: {} tables, {} rows, {} indexed values, {} LSH columns ({} bytes) in {:?}",
+        "built + saved: {} tables, {} rows, {} indexed values ({} bytes) in {:?}",
         stat.header.n_tables,
         stat.header.total_rows,
         stat.header.n_index_entries,
-        stat.header.n_lsh_columns,
         stat.file_bytes,
         build_time,
     );
@@ -54,7 +49,7 @@ fn main() {
     // The reopened lake is retrieval-identical: reclaim a source against it.
     let gen_t = GenT::new(gen_t::core::GenTConfig::default());
     let case = &bench.cases[0];
-    let cold = gen_t.reclaim(&case.source, &ingested.lake).expect("cold reclaim");
+    let cold = gen_t.reclaim(&case.source, &lake).expect("cold reclaim");
     let warm_result = gen_t.reclaim(&case.source, &warm.lake).expect("warm reclaim");
     println!(
         "reclaimed S{} cold: EIS {:.3} from {:?}",

@@ -38,7 +38,7 @@ fn main() {
     )
     .unwrap();
     let snap = std::env::temp_dir().join("serve_client_demo.gentlake");
-    snapshot::save(&snap, &DataLake::from_tables(vec![ages, ids]), None).expect("save snapshot");
+    snapshot::write(&snap, &DataLake::from_tables(vec![ages, ids])).expect("save snapshot");
 
     // ── Boot the daemon exactly as `gent serve --lake` does. ────────────
     let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");

@@ -12,7 +12,7 @@
 //!
 //! The workspace is layered: [`table`] (values/schemas/tables + CSV and
 //! binary codecs) → [`ops`] (the operator algebra) → [`discovery`] (inverted
-//! value index, Set Similarity, MinHash/LSH) → [`core`] (matrices,
+//! value index, first-stage retrieval, Set Similarity) → [`core`] (matrices,
 //! traversal, integration — Gen-T itself), with [`metrics`], [`explain`],
 //! [`query`], [`datagen`], and [`baselines`] alongside. [`store`] adds the
 //! persistence layer: versioned lake snapshots (`*.gentlake`) that persist a

@@ -55,7 +55,7 @@ fn lazy_eager_v1_and_cold_reclaims_are_byte_identical() {
     let cold = DataLake::from_tables(lake_tables.clone());
 
     let path = scratch("fidelity.gentlake");
-    snapshot::save(&path, &cold, None).expect("save");
+    snapshot::write(&path, &cold).expect("save");
     let lazy = snapshot::load(&path).expect("lazy open").lake;
     let eager = snapshot::load(&path).expect("eager open").lake;
     eager.decode_all(2).expect("decode_all");
@@ -66,7 +66,7 @@ fn lazy_eager_v1_and_cold_reclaims_are_byte_identical() {
     // delta frames; then the file those frames were compacted out of.
     let framed_path = scratch("fidelity-framed.gentlake");
     let (base, rest) = lake_tables.split_at(lake_tables.len() / 2);
-    snapshot::save(&framed_path, &DataLake::from_tables(base.to_vec()), None).expect("save base");
+    snapshot::write(&framed_path, &DataLake::from_tables(base.to_vec())).expect("save base");
     for frame in rest.chunks(rest.len().div_ceil(3)) {
         gen_t::store::append_tables(&framed_path, frame).expect("append frame");
     }

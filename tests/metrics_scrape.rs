@@ -36,7 +36,7 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> ClientRespons
 
 #[test]
 fn metrics_endpoint_survives_the_strict_parser() {
-    // A real snapshot with LSH, opened the way `gent serve` opens it.
+    // A real snapshot, opened the way `gent serve` opens it.
     let gen_dir = scratch("suite");
     cli(&["generate", gen_dir.to_str().unwrap(), "--benchmark", "tp-tr-small", "--seed", "7"]);
     let snap = scratch("lake.gentlake");
@@ -46,7 +46,6 @@ fn metrics_endpoint_survives_the_strict_parser() {
         gen_dir.join("lake").to_str().unwrap(),
         "--out",
         snap.to_str().unwrap(),
-        "--lsh",
     ]);
 
     let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
@@ -120,15 +119,17 @@ fn metrics_endpoint_survives_the_strict_parser() {
         // lake decode state (one series per hosted lake)
         "gent_lake_tables_decoded",
         "gent_lake_tables_total",
-        "gent_lake_lsh_decoded",
         "gent_lake_quarantined_tables",
         "gent_uptime_seconds",
     ])
     .unwrap_or_else(|e| panic!("{e}\n--- exposition ---\n{text}"));
-    // The batch endpoint is retired, and its families with it.
+    // The batch endpoint and the approximate retriever are retired, and
+    // their families with them.
     assert!(
-        !exp.families.iter().any(|(name, _)| name.starts_with("gent_batch")),
-        "no batch family may be exposed:\n{text}"
+        !exp.families
+            .iter()
+            .any(|(name, _)| name.starts_with("gent_batch") || name.contains("_lsh_")),
+        "no retired family may be exposed:\n{text}"
     );
 
     // Spot-check the counters actually counted this test's traffic.
@@ -197,7 +198,7 @@ fn degraded_daemon_reports_quarantine_and_keeps_serving() {
         Table::build("doomed", &["id", "val"], &["id"], rows("doomed")).unwrap(),
         Table::build("healthy", &["id", "val"], &["id"], rows("healthy")).unwrap(),
     ]);
-    gen_t::store::snapshot::save(&snap, &lake, None).expect("save");
+    gen_t::store::snapshot::write(&snap, &lake).expect("save");
 
     // Flip a byte in the middle of `doomed`'s section (tables serialize in
     // lake order), leaving everything else intact.

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests for the extension systems: the SPJU query
-//! engine driving source construction, LSH-based first-stage retrieval
-//! feeding the pipeline, and explanation/verification over real
+//! engine driving source construction, first-stage retrieval feeding the
+//! pipeline, and explanation/verification over real
 //! reclamations.
 
-use gen_t::discovery::{LshConfig, LshRetriever, TableRetriever};
+use gen_t::discovery::{OverlapRetriever, TableRetriever};
 use gen_t::explain::{explain, verify_table, TupleStatus, VerificationVerdict, VerifyConfig};
 use gen_t::prelude::*;
 use gen_t::query::{
@@ -87,10 +87,10 @@ fn random_benchmark_queries_survive_rewriting() {
     assert!(checked >= 4, "too few queries generated: {checked}");
 }
 
-/// The LSH retriever narrows a noisy lake to the fragments that matter, and
-/// the pipeline reclaims from its output.
+/// The first-stage retriever narrows a noisy lake to the fragments that
+/// matter, and the pipeline reclaims from its output.
 #[test]
-fn lsh_first_stage_feeds_the_pipeline() {
+fn overlap_first_stage_feeds_the_pipeline() {
     let source = Table::build(
         "S",
         &["id", "name", "score"],
@@ -125,8 +125,7 @@ fn lsh_first_stage_feeds_the_pipeline() {
         );
     }
     let lake = DataLake::from_tables(tables);
-    let retriever = LshRetriever::build(&lake, LshConfig::default(), 0.4);
-    let top = retriever.retrieve(&lake, &source, 5);
+    let top = OverlapRetriever.retrieve(&lake, &source, 5);
     assert!(top.contains(&0) && top.contains(&1), "top: {top:?}");
 
     // Reclaim from the retrieved tables only.

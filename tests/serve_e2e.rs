@@ -234,7 +234,7 @@ fn daemon_matches_one_shot_cli_byte_for_byte() {
 }
 
 /// The zero-copy open acceptance for the daemon: `/healthz` and
-/// `/lake/stat` answer without decoding a single table or LSH band, the
+/// `/lake/stat` answer without decoding a single table, the
 /// lazy-decode gauge and per-endpoint latency histograms are reported and
 /// move, and a reclaim only materializes the tables it actually touched.
 #[test]
@@ -248,7 +248,6 @@ fn stat_endpoints_decode_nothing_and_report_latency() {
         gen_dir.join("lake").to_str().unwrap(),
         "--out",
         snap.to_str().unwrap(),
-        "--lsh",
     ]);
 
     let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
@@ -274,8 +273,6 @@ fn stat_endpoints_decode_nothing_and_report_latency() {
     let total = gauge(&v, "tables_total");
     assert!(total > 0);
     assert_eq!(gauge(&v, "tables_decoded"), 0, "stat endpoints must not decode tables");
-    assert_eq!(v.get("lsh_decoded"), Some(&Json::Bool(false)), "stat must not decode bands");
-    assert!(gauge(&v, "lsh_columns") > 0, "band metadata available without decode");
 
     // Latency histograms exist for every endpoint and already saw traffic.
     let latency = v.get("latency").expect("latency histograms in /lake/stat");
@@ -332,7 +329,7 @@ fn ingest_goes_live_survives_compaction_and_reopen() {
         Table::build("base_a", &["id", "val"], &["id"], rows("a")).unwrap(),
         Table::build("base_b", &["id", "val"], &["id"], rows("b")).unwrap(),
     ]);
-    gen_t::store::snapshot::save(&snap, &lake, None).expect("save");
+    gen_t::store::snapshot::write(&snap, &lake).expect("save");
 
     let boot = |snap: &PathBuf| {
         let mut b = Router::builder(GenTConfig::default());
@@ -400,7 +397,7 @@ fn degraded_daemon_serves_unaffected_tables_byte_identically() {
         Table::build("doomed", &["id", "val"], &["id"], rows("doomed")).unwrap(),
         Table::build("healthy", &["id", "val"], &["id"], rows("healthy")).unwrap(),
     ]);
-    gen_t::store::snapshot::save(&pristine, &lake, None).expect("save");
+    gen_t::store::snapshot::write(&pristine, &lake).expect("save");
 
     // Damage a copy: flip a byte mid-way through `doomed`'s section.
     let mut bytes = std::fs::read(&pristine).unwrap();
