@@ -4,10 +4,12 @@
 //! The reference engine enumerates key-paths by exhaustive DFS and
 //! materializes each path with a fresh left-fold of joins — shared
 //! suffixes are re-joined from scratch for every path that uses them. The
-//! production engine runs a best-first search bounded by the best
-//! end-weight, memoizes sub-joins on the table-index path suffix, probes
-//! cached hash `JoinIndex`es instead of rebuilding them per join, and
-//! deduplicates expansions that fold to the same relation.
+//! production engine runs a best-first search ordered and cut by each
+//! partial path's reach bound (its weight times the heaviest product any
+//! walk of the remaining hops can reach a key-carrying table with),
+//! memoizes sub-joins on the table-index path suffix, probes cached hash
+//! `JoinIndex`es instead of rebuilding them per join, and deduplicates
+//! expansions that fold to the same relation.
 //!
 //! The engine's win is workload-shaped: it concentrates where candidate
 //! sets funnel many keyless starts through shared suffix chains (2×+ on
@@ -16,9 +18,10 @@
 //! therefore the wrong unit — one draw from that distribution gates on
 //! noise. The timed unit is the **expand stage swept across every TP-TR
 //! Med case**, interleaved, and the gate is the aggregate: the engine
-//! must be **≥1.1× faster** over the sweep in release mode (steady-state
-//! sweeps measure ~1.2–1.4×; the gate leaves headroom for the one-core
-//! CI box's ±10% run-to-run noise). Fidelity is
+//! must be **≥1.1× faster** over the sweep in release mode (sweeps measure
+//! 1.91–1.96× on a 2-vCPU VM, 3.3 s against 6.3 s, where ordering the
+//! search by partial weight alone measured 1.80×, 3.7 s against 6.7 s; the
+//! gate leaves headroom for a CI box's run-to-run noise). Fidelity is
 //! asserted first, through the stage's real consumer: on the heaviest
 //! case the greedy selection over the engine's output (names + final EIS)
 //! must be identical to the reference's — dedup may only shrink the set
@@ -122,9 +125,9 @@ fn bench_expand_join(c: &mut Criterion) {
     );
     // The acceptance gate: best-first search + suffix memo + cached join
     // indexes + relation dedup must beat the DFS/re-join/no-dedup
-    // reference ≥1.1× aggregated over the sweep (per-case ratios range
-    // ~0.8–2.4×, steady-state aggregates ~1.2–1.4×; the aggregate is what
-    // the pipeline pays and 1.1 leaves noise headroom). Debug builds
+    // reference ≥1.1× aggregated over the sweep (per-case ratios vary
+    // widely, aggregates measure ~1.9×; the aggregate is what the pipeline
+    // pays and 1.1 leaves noise headroom). Debug builds
     // skip the assertion (unoptimised bounds checks swamp the comparison).
     if cfg!(not(debug_assertions)) {
         assert!(

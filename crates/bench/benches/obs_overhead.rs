@@ -13,8 +13,8 @@ use gent_datagen::suite::{build, BenchmarkId as Bid, SuiteConfig};
 use gent_discovery::{set_similarity, DataLake, SetSimilarityConfig};
 
 fn bench_obs_overhead(c: &mut Criterion) {
-    // Same representative workload as `traversal_hot`: TP-TR Med, one full
-    // matrix traversal — the code path the pipeline spans instrument.
+    // A representative workload: TP-TR Med case 7, one full matrix
+    // traversal — the code path the pipeline spans instrument.
     let cfg = SuiteConfig::default();
     let bench = build(Bid::TpTrMed, &cfg);
     let lake = DataLake::from_tables(bench.lake_tables.clone());

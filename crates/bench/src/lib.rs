@@ -42,5 +42,4 @@ pub use harness::{
     aggregate, run_benchmark, AggregateRow, CandidateMode, CaseOutcome, HarnessConfig, MethodSpec,
 };
 pub use promtext::{parse_exposition, Exposition, Sample};
-pub use report::time_median_ms;
 pub use soak::{SoakConfig, SoakReport};

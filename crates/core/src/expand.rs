@@ -18,16 +18,61 @@
 //! scratch. Three observations make that the pipeline's hot path on real
 //! candidate sets, and three mechanisms remove it:
 //!
-//! 1. **Best-first search with admissible pruning.** Edge containments are
-//!    ≤ 1, so a partial path's weight can only shrink as it grows — the
-//!    partial weight is an admissible upper bound on every completion. A
-//!    max-heap ordered by (weight, then shorter, then lexicographic path)
-//!    pops partial paths best-first; a subtree is expanded only while some
-//!    end's recorded best could still be improved. Recording ends on pop
-//!    with the reference's own better-path predicate reproduces the DFS
-//!    result exactly: the first pop per end is its max-weight /
-//!    shortest / lexicographically-first path — precisely what the DFS
-//!    preorder kept.
+//! 1. **Best-first search under a reach bound.** Edge containments are
+//!    ≤ 1, so a path's weight only shrinks as it grows. Beside the pair
+//!    weights, each call computes one table (`reach_table`):
+//!    `reach[r][v]`, the heaviest product of edge weights on a walk of at
+//!    most `r` hops from `v` to a key-carrying *end* — `1` at an end (ends
+//!    are terminal), else `reach[0][v] = 0` and `reach[r][v] =
+//!    max_u w(v,u)·reach[r−1][u]`; `max_depth · n²` multiplies, shared by
+//!    every start. A partial path of weight `W` and length `L` at `v`
+//!    completes to no end heavier than its *bound* `W·reach[max_depth −
+//!    L][v]`. A max-heap ordered by (bound, then shorter, then
+//!    lexicographic path) pops partial paths; a start whose
+//!    `reach[max_depth][start]` is 0 pops nothing, a child whose bound is
+//!    0 is never pushed, and a subtree is expanded only while its bound
+//!    says some end's recorded best could still be improved. Ends are
+//!    recorded on pop with the reference's better-path predicate, plus the
+//!    lexicographic tie-break its DFS preorder applies implicitly.
+//!
+//!    *Why the result is the DFS's.* Two facts. An end's own entry has
+//!    bound = weight exactly (`reach` of an end is 1), so one end's paths
+//!    pop in (weight, length, path) order — the order the predicate
+//!    expects, best first. And the bound is *consistent*: `reach[r][v] ≥
+//!    w(v,u)·reach[r−1][u]`, so a child's bound never exceeds its
+//!    parent's, and nothing popped after an entry reaches an end heavier
+//!    than that entry's bound. Since later pops are never heavier than
+//!    earlier ones by more than rounding, a recorded path is only ever
+//!    replaced by one inside its `EPS` band that is shorter, or as long
+//!    and lexicographically first. The stop test ends the search once
+//!    every end is recorded and the popped bound lies below every recorded
+//!    weight's band; the subtree test drops a partial path when no
+//!    completion — at least one hop longer, no heavier than its bound —
+//!    could win such a tie against any recorded path. Neither drops a path
+//!    that could replace a recorded one. The subtree test must weigh the
+//!    lexicographic case too: `⅓·0.6` is one ulp below `0.25·0.8`, so
+//!    the lighter of two such 2-hop paths — first in the DFS's preorder,
+//!    hence its answer — pops *after* the heavier, from a parent whose
+//!    bound is already below the recorded weight.
+//!
+//!    *Rounding.* A child's bound is `fl(fl(W·w₂)·w₃)` where its parent's
+//!    is `fl(W·fl(w₂·w₃))`; the two differ by up to 2 ulps, so the bound
+//!    is consistent only to a few ulps per hop (≤ 10⁻¹⁵ for weights ≤ 1
+//!    over `expand_max_depth` = 3), three orders of magnitude inside the
+//!    predicate's `EPS = 1e-12`. Two paths to one end that the rounding
+//!    lets pop out of weight order are within a few ulps of each other —
+//!    inside each other's band, where the predicate picks by (length,
+//!    path) whichever pops first — and a completion that overshoots a cut
+//!    parent's bound by a few ulps still lies below the band that cut it.
+//!    Either could change a result only if two path weights to one end
+//!    differed by `EPS` to within those few ulps: the knife edge on which
+//!    the reference's own `EPS` comparison already depends on visit order.
+//!
+//!    The bound matters on dense candidate graphs with a weak best end,
+//!    where ordering by partial weight pops nearly every ≤ 3-hop path
+//!    before the stop test can fire. Heap pops per serial pass (seed 7,
+//!    default config): SANTOS + TP-TR Med 4 060 396 → 583 532, TP-TR Med
+//!    659 151 → 243 227, TP-TR Small 601 912 → 243 494 (`docs/matrix-arena.md`).
 //! 2. **A sub-join memo keyed on the table-index path suffix.** Paths are
 //!    folded right-to-left (`join(p) = c[p₀] ⋈ join(p₁..)`), so the many
 //!    keyless starts that funnel through the same key-carrier chains fold
@@ -171,7 +216,8 @@ const PATHS_PER_CANDIDATE: usize = 6;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExpandStats {
     /// Partial join paths examined by the best-first search (heap pops) —
-    /// the work the exhaustive DFS did for *every* simple path.
+    /// the work the exhaustive DFS did for *every* simple path, here only
+    /// for paths whose reach bound could still matter (module docs, item 1).
     pub paths_considered: u64,
     /// Suffix sub-joins answered from the memo instead of being re-folded.
     pub memo_hits: u64,
@@ -183,13 +229,15 @@ pub struct ExpandStats {
     pub dedup_dropped: u64,
 }
 
-/// A partial path in the best-first search. Max-heap order: higher weight
+/// A partial path in the best-first search. Max-heap order: higher bound
 /// first, then shorter path, then lexicographically smaller path — so pop
-/// order is deterministic and the first pop per end node is exactly the
-/// path the reference DFS's preorder-with-better-predicate kept.
+/// order is deterministic, and an end's entries (whose bound is their
+/// weight) pop in (weight, length, path) order.
 struct Entry {
-    /// Product of edge containments along `path` (admissible bound on any
-    /// completion's weight, since edges are ≤ 1).
+    /// `weight · reach[max_depth − len][node]`: no completion of `path`
+    /// reaches an end heavier than this ([`reach_table`]).
+    bound: f64,
+    /// Product of edge containments along `path`.
     weight: f64,
     /// Current node (last element of `path`, or the start node).
     node: usize,
@@ -199,8 +247,8 @@ struct Entry {
 
 impl Entry {
     fn key_cmp(&self, other: &Entry) -> std::cmp::Ordering {
-        self.weight
-            .total_cmp(&other.weight)
+        self.bound
+            .total_cmp(&other.bound)
             .then_with(|| other.path.len().cmp(&self.path.len()))
             .then_with(|| other.path.cmp(&self.path))
     }
@@ -223,23 +271,56 @@ impl Ord for Entry {
     }
 }
 
-/// Best-first search for max-weight simple paths `start → … → end` where
-/// `end` carries the key. Returns the best path per distinct end node,
-/// strongest first (up to [`PATHS_PER_CANDIDATE`]), each path as candidate
-/// indices excluding `start` — the same result set as the reference's
-/// exhaustive DFS, found without enumerating provably-losing subtrees.
-fn best_paths(
-    start: usize,
+/// `reach[r][v]`: the heaviest product of edge weights along any walk of at
+/// most `r` hops from `v` to an end, ends terminal — `1` at an end, `0`
+/// where no end is that close. One table serves every start of a call: a
+/// walk may revisit the start or a node already on the path, which only
+/// loosens the bound for simple paths, and a `0` stays exact.
+fn reach_table(
     weights: &[Vec<Option<f64>>],
     ends: &FxHashSet<usize>,
     max_depth: usize,
+) -> Vec<Vec<f64>> {
+    let at_end: Vec<f64> =
+        (0..weights.len()).map(|v| if ends.contains(&v) { 1.0 } else { 0.0 }).collect();
+    let mut reach = vec![at_end];
+    for r in 1..=max_depth {
+        let mut next = reach[0].clone();
+        for (v, out) in weights.iter().enumerate() {
+            if next[v] == 0.0 {
+                let hop =
+                    |best: f64, (w, &p): (&Option<f64>, &f64)| w.map_or(best, |w| best.max(w * p));
+                next[v] = out.iter().zip(&reach[r - 1]).fold(0.0, hop);
+            }
+        }
+        reach.push(next);
+    }
+    reach
+}
+
+/// Best-first search for max-weight simple paths `start → … → end` where
+/// `end` carries the key, at most `reach.len() − 1` hops long. Returns the
+/// best path per distinct end node, strongest first (up to
+/// [`PATHS_PER_CANDIDATE`]), each path as candidate indices excluding
+/// `start` — the same result set as the reference's exhaustive DFS, found
+/// without enumerating provably-losing subtrees (module docs, item 1).
+fn best_paths(
+    start: usize,
+    weights: &[Vec<Option<f64>>],
+    reach: &[Vec<f64>],
+    ends: &FxHashSet<usize>,
     paths_considered: &mut u64,
 ) -> Vec<Vec<usize>> {
+    let max_depth = reach.len() - 1;
+    let bound = reach[max_depth][start];
+    if bound == 0.0 {
+        return Vec::new(); // no end within reach: nothing to search
+    }
     // Best (weight, path) per end node, under the reference's predicate.
     let mut best: FxHashMap<usize, (f64, Vec<usize>)> = FxHashMap::default();
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    heap.push(Entry { weight: 1.0, node: start, path: Vec::new() });
-    while let Some(Entry { weight, node, path }) = heap.pop() {
+    heap.push(Entry { bound, weight: 1.0, node: start, path: Vec::new() });
+    while let Some(Entry { bound, weight, node, path }) = heap.pop() {
         *paths_considered += 1;
         if ends.contains(&node) {
             let better = match best.get(&node) {
@@ -256,35 +337,43 @@ fn best_paths(
             continue; // a path through an end node never needs to continue
         }
         // Sound early termination: every end already has a recorded path,
-        // and this entry — the strongest still pending, by exact best-first
-        // order — sits strictly below every recorded weight's EPS band.
-        // Completions only get lighter and longer, so nothing the heap
-        // still holds (or could ever produce) can replace a recorded path.
-        if best.len() == ends.len() && best.values().all(|(w, _)| weight < *w - EPS) {
+        // and this entry — the highest bound still pending — sits strictly
+        // below every recorded weight's EPS band. The bound is consistent,
+        // so nothing the heap still holds (or could ever produce) reaches
+        // an end inside a band, and no recorded path can be replaced.
+        if best.len() == ends.len() && best.values().all(|(w, _)| bound < *w - EPS) {
             break;
         }
         if path.len() >= max_depth {
             continue;
         }
-        // Branch & bound: every completion of this partial path has weight
-        // ≤ `weight` (edges are ≤ 1) and length ≥ len + 1, so the subtree
-        // is worth expanding only while some end is unrecorded or could
-        // still be improved by such a completion.
+        // Branch & bound: every completion of this partial path weighs at
+        // most `bound` and is at least one hop longer, so the subtree is
+        // worth expanding only while some end is unrecorded or could still
+        // be improved by such a completion: heavier, or inside the band and
+        // shorter — or as long and lexicographically first.
+        let len = path.len();
         let can_improve = best.len() < ends.len()
             || best.values().any(|(w, p)| {
-                weight > *w + EPS || (weight >= *w - EPS && path.len() + 1 < p.len())
+                bound > *w + EPS
+                    || (bound >= *w - EPS
+                        && (len + 1 < p.len() || (len + 1 == p.len() && path[..] < p[..len])))
             });
         if !can_improve {
             continue;
         }
+        let hops_left = &reach[max_depth - len - 1];
         for (next, w) in weights[node].iter().enumerate() {
+            let Some(w) = w else { continue };
             if next == start || path.contains(&next) {
                 continue;
             }
-            if let Some(w) = w {
+            let weight = weight * w;
+            let bound = weight * hops_left[next];
+            if bound > 0.0 {
                 let mut p = path.clone();
                 p.push(next);
-                heap.push(Entry { weight: weight * w, node: next, path: p });
+                heap.push(Entry { bound, weight, node: next, path: p });
             }
         }
     }
@@ -838,6 +927,7 @@ pub(crate) fn expand_views(
             }
         }
     }
+    let reach = reach_table(&weights, &ends, max_depth);
     // Dedup state: shape (sorted column names, row count) → kept
     // expansions of that shape, each with its index in `out` and the
     // fingerprint folded during its join. Only fingerprint matches run
@@ -851,7 +941,7 @@ pub(crate) fn expand_views(
         }
         let _span = gent_obs::span_timed("expand_candidate", ins.stage_expand_candidate.clone());
         let mut produced = 0usize;
-        let paths = best_paths(i, &weights, &ends, max_depth, &mut stats.paths_considered);
+        let paths = best_paths(i, &weights, &reach, &ends, &mut stats.paths_considered);
         for (k, path) in paths.into_iter().enumerate() {
             let Some((mut joined, fp)) = engine.join_path(i, &path, key_names, &mut stats) else {
                 continue;
@@ -901,9 +991,8 @@ pub mod reference {
 
     /// Depth-first search for max-weight simple paths `start → … → end`
     /// where `end` carries the key — reference semantics.
-    fn best_paths(
+    pub(super) fn best_paths(
         start: usize,
-        tables: &[Table],
         weights: &[Vec<Option<f64>>],
         ends: &FxHashSet<usize>,
         max_depth: usize,
@@ -961,7 +1050,7 @@ pub mod reference {
         }
         let mut search =
             Search { weights, ends, max_depth, best: gent_table::FxHashMap::default() };
-        let mut visited = vec![false; tables.len()];
+        let mut visited = vec![false; weights.len()];
         visited[start] = true;
         search.dfs(start, 1.0, &mut Vec::new(), &mut visited);
         let mut ranked: Vec<(usize, f64, Vec<usize>)> =
@@ -998,7 +1087,7 @@ pub mod reference {
                 out.push(candidates[i].clone());
                 continue;
             }
-            let paths = best_paths(i, candidates, &weights, &ends, max_depth);
+            let paths = best_paths(i, &weights, &ends, max_depth);
             for (k, path) in paths.into_iter().enumerate() {
                 let mut joined = candidates[i].clone();
                 let mut ok = true;
@@ -1030,6 +1119,7 @@ mod pair_view_prop;
 mod tests {
     use super::*;
     use gent_table::Value as V;
+    use proptest::prelude::*;
 
     /// Figure 3's tables B and C lack the source key "ID"; A has it.
     fn candidates() -> Vec<Table> {
@@ -1222,6 +1312,160 @@ mod tests {
         let (_, stats) = expand_with_stats(&candidates(), &["ID"], 3);
         assert!(stats.memo_hits >= 1, "{stats:?}");
         assert!(stats.paths_considered > 0, "{stats:?}");
+    }
+
+    /// SplitMix64 over a proptest-drawn seed: the search tests' graphs.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A symmetric weight matrix over `n` nodes, each pair joined with
+    /// probability `density / 4`.
+    fn weight_matrix(
+        n: usize,
+        density: usize,
+        weight: impl Fn(&mut Mix) -> f64,
+        mix: &mut Mix,
+    ) -> Vec<Vec<Option<f64>>> {
+        let mut weights = vec![vec![None; n]; n];
+        for (i, j) in (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))) {
+            if mix.below(4) < density {
+                let w = weight(mix);
+                weights[i][j] = Some(w);
+                weights[j][i] = Some(w);
+            }
+        }
+        weights
+    }
+
+    /// The engine's search, with its heap pops.
+    fn engine_search(
+        start: usize,
+        weights: &[Vec<Option<f64>>],
+        ends: &FxHashSet<usize>,
+        max_depth: usize,
+    ) -> (Vec<Vec<usize>>, u64) {
+        let mut pops = 0;
+        let reach = reach_table(weights, ends, max_depth);
+        (best_paths(start, weights, &reach, ends, &mut pops), pops)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bounded best-first search returns the reference DFS's paths
+        /// from every start, on graphs dense enough for the bound to prune:
+        /// up to 30 nodes at densities up to complete; weights drawn from a
+        /// set of exact ties, from one whose products tie but for their
+        /// last bit (`⅓·0.6` is one ulp below `0.25·0.8`), or from a
+        /// continuous range; end sets empty, single, random, or larger than
+        /// [`PATHS_PER_CANDIDATE`]. Depth 4 runs on at most 12 nodes, where
+        /// the reference's 11·10·9·8 paths per start stay affordable.
+        #[test]
+        fn best_paths_matches_the_reference_dfs(
+            n in 2usize..=30,
+            density in 1usize..=4,
+            depth in 1usize..=4,
+            weight_set in 0usize..4,
+            end_set in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            const EXACT_TIES: [f64; 5] = [1.0, 0.9, 0.5, 0.25, 1.0 / 3.0];
+            const LAST_BIT_TIES: [f64; 4] = [0.8, 0.6, 0.25, 1.0 / 3.0];
+            let depth = if n > 12 { depth.min(3) } else { depth };
+            let mut mix = Mix(seed);
+            let weights = match weight_set {
+                0 => weight_matrix(n, density, |m| EXACT_TIES[m.below(5)], &mut mix),
+                1 | 2 => weight_matrix(n, density, |m| LAST_BIT_TIES[m.below(4)], &mut mix),
+                _ => weight_matrix(n, density, |m| 0.05 + m.below(951) as f64 / 1000.0, &mut mix),
+            };
+            let ends: FxHashSet<usize> = match end_set {
+                0 => FxHashSet::default(),
+                1 => [mix.below(n)].into_iter().collect(),
+                2 => (0..n).filter(|_| mix.below(4) == 0).collect(),
+                _ => {
+                    let many = (PATHS_PER_CANDIDATE + 1 + mix.below(n)).min(n);
+                    let mut nodes: Vec<usize> = (0..n).collect();
+                    for k in 0..many {
+                        nodes.swap(k, k + mix.below(n - k));
+                    }
+                    nodes[..many].iter().copied().collect()
+                }
+            };
+            for start in 0..n {
+                let (found, _) = engine_search(start, &weights, &ends, depth);
+                let expected = reference::best_paths(start, &weights, &ends, depth);
+                prop_assert_eq!(found, expected, "start {} of {}, depth {}", start, n, depth);
+            }
+        }
+    }
+
+    #[test]
+    fn a_weak_end_in_a_dense_graph_is_found_without_enumerating_the_graph() {
+        // Nodes 0..29 form a complete graph at weight 1.0; the one end, 29,
+        // hangs off node 28 by a 0.05 edge. Ordered by partial weight, the
+        // search pops every ≤ 3-hop path among the 29 before its stop test
+        // can fire (≈ 20 k pops); bounded, every partial path ranks at 0.05
+        // and none is pushed that can no longer reach 28 in time.
+        let n = 30;
+        let mut weights = vec![vec![Some(1.0); n]; n];
+        for (i, row) in weights.iter_mut().enumerate() {
+            row[i] = None;
+            row[n - 1] = None;
+        }
+        weights[n - 1] = vec![None; n];
+        weights[n - 2][n - 1] = Some(0.05);
+        weights[n - 1][n - 2] = Some(0.05);
+        let ends: FxHashSet<usize> = [n - 1].into_iter().collect();
+        let (found, pops) = engine_search(0, &weights, &ends, 3);
+        assert_eq!(found, vec![vec![n - 2, n - 1]]);
+        assert_eq!(found, reference::best_paths(0, &weights, &ends, 3));
+        assert!(pops <= 300, "{pops} heap pops");
+    }
+
+    #[test]
+    fn a_lighter_path_by_one_ulp_still_wins_on_its_preorder() {
+        // Two 2-hop paths to the end 3: [1, 3] weighs ⅓·0.6 and [2, 3]
+        // 0.25·0.8 — one ulp heavier. Inside EPS they tie, and the
+        // reference keeps the one its preorder meets first, [1, 3]. [2, 3]
+        // pops first; [1]'s bound is one ulp below it, so the subtree test
+        // must see that [1]'s completion is as long and lexicographically
+        // first, or it would be cut.
+        let mut weights = vec![vec![None; 4]; 4];
+        for (a, b, w) in [(0, 1, 1.0 / 3.0), (1, 3, 0.6), (0, 2, 0.25), (2, 3, 0.8)] {
+            weights[a][b] = Some(w);
+            weights[b][a] = Some(w);
+        }
+        let weight =
+            |p: [usize; 3]| -> f64 { p.windows(2).map(|e| weights[e[0]][e[1]].unwrap()).product() };
+        assert!(weight([0, 1, 3]) < weight([0, 2, 3]), "the products differ in the last bit");
+        let ends: FxHashSet<usize> = [3].into_iter().collect();
+        let expected = reference::best_paths(0, &weights, &ends, 2);
+        assert_eq!(expected, vec![vec![1, 3]]);
+        assert_eq!(engine_search(0, &weights, &ends, 2).0, expected);
+    }
+
+    #[test]
+    fn a_start_with_no_end_in_its_component_pops_nothing() {
+        // {0, 1, 2} is a triangle; the end 4 sits in the other component.
+        let mut weights = vec![vec![None; 5]; 5];
+        for (a, b, w) in [(0, 1, 0.9), (1, 2, 1.0), (0, 2, 0.5), (3, 4, 1.0)] {
+            weights[a][b] = Some(w);
+            weights[b][a] = Some(w);
+        }
+        let ends: FxHashSet<usize> = [4].into_iter().collect();
+        for start in 0..3 {
+            assert_eq!(engine_search(start, &weights, &ends, 3), (Vec::new(), 0), "start {start}");
+        }
+        assert_eq!(engine_search(3, &weights, &ends, 3), (vec![vec![4]], 2));
     }
 
     #[test]

@@ -31,7 +31,8 @@ pub struct Timings {
     /// Candidate scorings skipped because their admissible upper bound
     /// provably lost the round.
     pub candidates_pruned: u64,
-    /// Partial join paths Expand's best-first search examined.
+    /// Partial join paths Expand's best-first search examined (heap pops,
+    /// [`ExpandStats::paths_considered`](crate::ExpandStats)).
     pub expand_paths_considered: u64,
     /// Expand sub-joins answered from the path-suffix memo.
     pub expand_memo_hits: u64,
