@@ -57,7 +57,7 @@ USAGE:
   gent verify   <claimed.csv> <lake-dir> [--key a,b] [--threshold 1.0]
   gent query    '<expr>' <lake-dir> [--out out.csv] [--rewrite]
   gent generate <out-dir> [--benchmark tp-tr-small|tp-tr-med|t2d-gold] [--seed 7]
-  gent lake     build <lake-dir> --out snap.gentlake [--threads N]
+  gent lake     build <lake-dir> --out snap.gentlake
                 build --suite tp-tr-small --out snap.gentlake [--seed 7]
                 stat  <snap.gentlake>
                 fsck  <snap.gentlake> [--repair]
@@ -225,7 +225,7 @@ fn cmd_reclaim(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     "pass either a <lake-dir> or --lake <snapshot>, not both".into(),
                 ));
             }
-            gent_store::open_lake(Path::new(snapshot))?
+            gent_store::snapshot::load(Path::new(snapshot))?.lake
         }
         None => DataLake::from_tables(load_lake_dir(Path::new(p.required(1, "lake-dir")?))?),
     };
@@ -404,13 +404,14 @@ fn cmd_lake(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     }
 }
 
-/// `lake build`: ingest a CSV directory (or a generated benchmark suite)
-/// once — in parallel — and persist the lake plus its indexes.
+/// `lake build`: build a CSV directory (or a generated benchmark suite)
+/// into a lake once, with [`DataLake::from_tables`], and persist the lake
+/// plus its indexes.
 fn cmd_lake_build(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use gent_store::{ingest_tables, snapshot};
+    use gent_store::snapshot;
     use std::time::Instant;
 
-    let p = ParsedArgs::parse(args, &["out", "suite", "seed", "threads"], &[])?;
+    let p = ParsedArgs::parse(args, &["out", "suite", "seed"], &[])?;
     let out_path = PathBuf::from(
         p.option("out")
             .ok_or_else(|| CliError::Usage("lake build requires --out <snapshot>".into()))?,
@@ -439,9 +440,8 @@ fn cmd_lake_build(args: &[String], out: &mut impl Write) -> Result<(), CliError>
     };
     let load_time = t0.elapsed();
 
-    let threads = p.option_parse::<usize>("threads")?.unwrap_or(0);
     let t1 = Instant::now();
-    let lake = ingest_tables(tables, threads);
+    let lake = DataLake::from_tables(tables);
     let ingest_time = t1.elapsed();
     snapshot::write(&out_path, &lake)?;
 
@@ -544,7 +544,6 @@ fn cmd_lake_fsck(args: &[String], out: &mut impl Write) -> Result<(), CliError> 
 /// registered is the default route for requests that name none.
 fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use gent_serve::{Router, ServeConfig, Server};
-    use gent_store::{LakeSource, SnapshotFile};
     use std::time::Instant;
 
     let p = ParsedArgs::parse(
@@ -576,7 +575,7 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         let loaded = if degraded {
             gent_store::load_degraded(&snap)?
         } else {
-            SnapshotFile(snap.clone()).load_lake()?
+            gent_store::snapshot::load(&snap)?
         };
         let open_time = t0.elapsed();
 

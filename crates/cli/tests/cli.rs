@@ -371,6 +371,26 @@ fn fsck_repair_drops_the_retired_section() {
     assert!(fs::read(&old).unwrap() == fs::read(&built).unwrap(), "repair must equal a build");
 }
 
+/// `lake build` writes exactly the file the one in-memory builder writes:
+/// the same CSVs, read in file-name order, through
+/// `DataLake::from_tables` and `snapshot::write`.
+#[test]
+fn lake_build_writes_what_from_tables_writes() {
+    let s = Scratch::new("lake-one-builder");
+    let lake = make_lake(&s);
+    fs::write(lake.join("gaps.csv"), "name,age\nSmith,\n,24\nSmith,27\n").unwrap();
+    let built = s.path().join("cli.gentlake");
+    run_ok(&["lake", "build", lake.to_str().unwrap(), "--out", built.to_str().unwrap()]);
+
+    let tables = ["ages", "gaps", "ids", "noise"]
+        .iter()
+        .map(|n| gent_table::csv::read_csv_file(&lake.join(format!("{n}.csv"))).unwrap())
+        .collect();
+    let direct = s.path().join("direct.gentlake");
+    gent_store::snapshot::write(&direct, &gent_discovery::DataLake::from_tables(tables)).unwrap();
+    assert!(fs::read(&built).unwrap() == fs::read(&direct).unwrap(), "CLI build diverges");
+}
+
 #[test]
 fn lake_usage_errors() {
     let e = run_err(&["lake"]);
@@ -381,6 +401,11 @@ fn lake_usage_errors() {
     assert!(matches!(e, CliError::Usage(_)), "missing --out must be a usage error");
     let e = run_err(&["lake", "build", "somewhere", "--suite", "tp-tr-small", "--out", "x"]);
     assert!(matches!(e, CliError::Usage(_)), "dir + --suite must be rejected, not ignored");
+    let e = run_err(&["lake", "build", "somewhere", "--out", "x", "--threads", "2"]);
+    assert!(
+        matches!(e, CliError::Usage(m) if m.contains("--threads")),
+        "lake build has no --threads"
+    );
     let e = run_err(&["lake", "stat", "/definitely/not/a/snapshot"]);
     assert!(matches!(e, CliError::Store(_)));
 

@@ -23,7 +23,7 @@
 //! * [`pipeline`] — the [`GenT`] entry point tying discovery + reclamation
 //!   together and reporting timings. The lake it reclaims against can be
 //!   built in memory (`DataLake::from_tables`) or reopened warm from a
-//!   `gent-store` snapshot (`gent_store::SnapshotFile`) — retrieval results
+//!   `gent-store` snapshot (`gent_store::snapshot::load`) — retrieval results
 //!   are identical either way,
 //! * [`keyless`] — the §VII future-work extensions: keyless reclamation
 //!   (key mining + surrogate keys + greedy key-free instance similarity)

@@ -26,8 +26,9 @@ pub struct Posting {
     pub column: u16,
 }
 
-/// The inverted index's two backings: a mutable hash map while a lake is
-/// being built, or a [`SnapshotIndex`] when reopened from a snapshot (flat
+/// The inverted index's two backings: a hash map for a lake
+/// [`DataLake::from_tables`] built in memory (filled once, never mutated
+/// after), or a [`SnapshotIndex`] when reopened from a snapshot (flat
 /// [`FrozenIndex`] arrays — zero-copy views into the snapshot buffer —
 /// under the pre-merged postings of any delta frames). Lookups behave
 /// identically across both.
@@ -154,75 +155,36 @@ pub struct DataLake {
     index: LakeIndex,
 }
 
+/// A table's postings: each column's distinct non-null values as
+/// `(value, column)` pairs, columns in order and values in first-occurrence
+/// order within a column. This is the one place that decides which cells
+/// the inverted index holds: [`DataLake::from_tables`] indexes through it,
+/// and so does the store's delta-frame encoder, so a lake built in memory
+/// and one grown by appended frames post identically. A posting names its
+/// column in a `u16`, so columns past `u16::MAX` are left out rather than
+/// posted under a wrapped index (a snapshot refuses such a table whole).
+pub fn table_postings(t: &Table) -> impl Iterator<Item = (&Value, u16)> + '_ {
+    (0..=u16::MAX).take(t.n_cols()).flat_map(move |ci| {
+        let mut seen: FxHashSet<&Value> = FxHashSet::default();
+        t.column(usize::from(ci))
+            .filter(move |v| !v.is_null_like() && seen.insert(*v))
+            .map(move |v| (v, ci))
+    })
+}
+
 impl DataLake {
-    /// Build a lake (and its index) from tables. Duplicate table names get
-    /// a numeric suffix so lookups stay unambiguous.
+    /// Build a lake (and its index) from tables — the one in-memory
+    /// builder. Duplicate table names get a numeric suffix so lookups stay
+    /// unambiguous: the first claimant keeps the name, later ones take the
+    /// first free `#k`.
     pub fn from_tables(tables: Vec<Table>) -> Self {
-        let mut lake = DataLake {
-            slots: Vec::with_capacity(tables.len()),
-            by_name: FxHashMap::default(),
-            index: LakeIndex::Map(FxHashMap::default()),
-        };
-        for t in tables {
-            lake.push_table(t);
-        }
-        lake
-    }
-
-    /// Add one table, indexing its values. Returns the table's index; if the
-    /// name was taken, the table is renamed with a `#k` suffix and registered
-    /// in `by_name` under that new name (its original name keeps resolving to
-    /// the first table that claimed it).
-    pub fn push_table(&mut self, mut t: Table) -> usize {
-        if let Some(new_name) = self.renamed_for_collision(t.name()) {
-            t.set_name(&new_name);
-        }
-        let name = t.name().to_string();
-        let ti = self.slots.len();
-        let index = self.index_map_mut();
-        for (ci, _) in t.schema().columns().enumerate() {
-            let mut seen: FxHashSet<&Value> = FxHashSet::default();
-            for v in t.column(ci) {
-                if !v.is_null_like() && seen.insert(v) {
-                    index
-                        .entry(v.clone())
-                        .or_default()
-                        .push(Posting { table: ti as u32, column: ci as u16 });
-                }
+        let mut index: FxHashMap<Value, Vec<Posting>> = FxHashMap::default();
+        for (ti, t) in tables.iter().enumerate() {
+            for (v, column) in table_postings(t) {
+                index.entry(v.clone()).or_default().push(Posting { table: ti as u32, column });
             }
         }
-        self.by_name.insert(name, ti);
-        self.slots.push(TableSlot::eager(t));
-        ti
-    }
-
-    /// Mutable access to the map backing, converting a snapshot index first
-    /// (documented cost: pushing into a snapshot-loaded lake re-expands the
-    /// frozen arrays into a hash map once).
-    fn index_map_mut(&mut self) -> &mut FxHashMap<Value, Vec<Posting>> {
-        if !matches!(self.index, LakeIndex::Map(_)) {
-            self.index = LakeIndex::Map(self.index_to_map());
-        }
-        match &mut self.index {
-            LakeIndex::Map(m) => m,
-            LakeIndex::Snapshot(_) => unreachable!("converted above"),
-        }
-    }
-
-    /// The full index as an owned map, merging any overlay (panics like
-    /// [`SnapshotIndex::thawed`]).
-    fn index_to_map(&self) -> FxHashMap<Value, Vec<Posting>> {
-        match &self.index {
-            LakeIndex::Map(m) => m.clone(),
-            LakeIndex::Snapshot(s) => {
-                let t = s.thawed();
-                let mut m = t.base.to_map();
-                for (v, p) in &t.overlay {
-                    m.insert(v.clone(), p.clone()); // overlay lists are pre-merged
-                }
-                m
-            }
-        }
+        Self::assemble(tables.into_iter().map(TableSlot::eager).collect(), LakeIndex::Map(index))
     }
 
     /// Resolve a name collision against `by_name`: `Some(new_name)` with the
@@ -239,16 +201,6 @@ impl DataLake {
             }
             k += 1;
         }
-    }
-
-    /// Reassemble a lake from already-built parts — tables plus their
-    /// inverted index — without re-scanning any cell. This is the warm-start
-    /// hook parallel ingest builds through; `postings` must index into
-    /// `tables` exactly as [`DataLake::push_table`] would have built them.
-    /// Table names are re-uniquified defensively (a no-op for snapshot data,
-    /// whose names were uniquified at ingest).
-    pub fn from_parts(tables: Vec<Table>, index: FxHashMap<Value, Vec<Posting>>) -> Self {
-        Self::assemble(tables.into_iter().map(TableSlot::eager).collect(), LakeIndex::Map(index))
     }
 
     /// Reassemble a lake from pre-built table slots (lazy or eager) around
@@ -342,7 +294,13 @@ impl DataLake {
         match &self.index {
             LakeIndex::Map(m) => FrozenIndex::from_map(m),
             LakeIndex::Snapshot(s) if s.delta.is_empty() => s.thawed().base.clone(),
-            LakeIndex::Snapshot(_) => FrozenIndex::from_map(&self.index_to_map()),
+            LakeIndex::Snapshot(s) => {
+                let t = s.thawed();
+                let mut m = t.base.to_map();
+                // Overlay lists are pre-merged, so they replace the base's.
+                m.extend(t.overlay.iter().map(|(v, p)| (v.clone(), p.clone())));
+                FrozenIndex::from_map(&m)
+            }
         }
     }
 
@@ -532,6 +490,19 @@ mod tests {
         assert!(l.postings(&V::Null).is_empty());
     }
 
+    /// A column a `u16` cannot name is left out of the index, never posted
+    /// under a wrapped index (65 536 would wrap to column 0).
+    #[test]
+    fn columns_past_u16_are_not_posted_wrapped() {
+        let names: Vec<String> = (0..=u16::MAX as usize + 1).map(|i| format!("c{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let row = (0..names.len() as i64).map(V::Int).collect();
+        let l = DataLake::from_tables(vec![Table::build("wide", &names, &[], vec![row]).unwrap()]);
+        assert_eq!(l.postings(&V::Int(65_535)), &[Posting { table: 0, column: u16::MAX }]);
+        assert!(l.postings(&V::Int(65_536)).is_empty());
+        assert_eq!(l.index_len(), 65_536);
+    }
+
     #[test]
     fn containment_counts_accumulate() {
         let l = lake();
@@ -556,9 +527,7 @@ mod tests {
     #[test]
     fn three_same_named_tables_all_registered() {
         let mk = |i: i64| Table::build("t", &["x"], &[], vec![vec![V::Int(i)]]).unwrap();
-        let mut l = DataLake::from_tables(vec![mk(1), mk(2)]);
-        let idx = l.push_table(mk(3));
-        assert_eq!(idx, 2);
+        let l = DataLake::from_tables(vec![mk(1), mk(2), mk(3)]);
         assert_eq!(l.len(), 3);
         for (name, val, at) in [("t", 1, 0usize), ("t#2", 2, 1), ("t#3", 3, 2)] {
             let t = l.get_by_name(name).unwrap_or_else(|| panic!("`{name}` not in by_name"));
@@ -580,21 +549,6 @@ mod tests {
         assert_eq!(l.get_by_name("t").unwrap().cell(0, 0), Some(&V::Int(1)));
         assert_eq!(l.get_by_name("t#2").unwrap().cell(0, 0), Some(&V::Int(2)));
         assert_eq!(l.get_by_name("t#3").unwrap().cell(0, 0), Some(&V::Int(3)));
-    }
-
-    #[test]
-    fn from_parts_rebuilds_identical_lookups() {
-        let l = lake();
-        let tables: Vec<Table> = l.tables_iter().cloned().collect();
-        let index: FxHashMap<Value, Vec<Posting>> =
-            l.index_entries().map(|(v, p)| (v, p.to_vec())).collect();
-        let rebuilt = DataLake::from_parts(tables, index);
-        assert_eq!(rebuilt.len(), l.len());
-        assert_eq!(rebuilt.index_len(), l.index_len());
-        for probe in [V::Int(1), V::Int(2), V::Int(3), V::str("u")] {
-            assert_eq!(rebuilt.postings(&probe), l.postings(&probe), "postings for {probe}");
-        }
-        assert_eq!(rebuilt.get_by_name("a").unwrap().rows(), l.get_by_name("a").unwrap().rows());
     }
 
     /// A snapshot-backed lake over `tables`, built the way the store's open
@@ -676,22 +630,6 @@ mod tests {
         let mut rp = refrozen.get(&V::Int(1)).to_vec();
         rp.sort_by_key(|p| (p.table, p.column));
         assert_eq!(rp.len(), 3);
-    }
-
-    #[test]
-    fn pushing_into_frozen_lake_thaws_it() {
-        let l = lake();
-        let mut frozen = snapshot_backed(
-            l.tables_iter().cloned().collect(),
-            l.freeze_index(),
-            FxHashMap::default(),
-        );
-        let t = Table::build("c", &["w"], &[], vec![vec![V::Int(99)]]).unwrap();
-        let idx = frozen.push_table(t);
-        assert!(frozen.frozen_index().is_none(), "thawed back to a map");
-        assert_eq!(frozen.postings(&V::Int(99)), &[Posting { table: idx as u32, column: 0 }]);
-        // Old entries survive the thaw.
-        assert_eq!(frozen.postings(&V::Int(1)), l.postings(&V::Int(1)));
     }
 
     #[test]

@@ -93,10 +93,10 @@
 //! ```no_run
 //! use gent_serve::{LakeService, ServeConfig, Server};
 //! use gent_core::GenTConfig;
-//! use gent_store::{LakeSource, SnapshotFile};
+//! use gent_store::snapshot;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let loaded = SnapshotFile("lake.gentlake".into()).load_lake()?;
+//! let loaded = snapshot::load("lake.gentlake".as_ref())?;
 //! let service = LakeService::new(loaded, GenTConfig::default(), "lake.gentlake");
 //! let server = Server::bind(&ServeConfig::default(), service)?;
 //! println!("serving on http://{}", server.local_addr()?);

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gent_core::GenTConfig;
-use gent_store::{LakeSource, LoadedLake, SnapshotFile};
+use gent_store::{LoadedLake, StoreError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::http::{HttpError, Request, Response};
@@ -102,13 +102,6 @@ impl RouterBuilder {
         self.degraded = on;
     }
 
-    fn open_snapshot(&self, path: &Path) -> Result<LoadedLake, gent_store::StoreError> {
-        if self.degraded {
-            gent_store::load_degraded(path)
-        } else {
-            SnapshotFile(path.to_path_buf()).load_lake()
-        }
-    }
     fn check_name(&self, name: &str) -> Result<(), String> {
         if !valid_lake_name(name) {
             return Err(format!("invalid lake name `{name}`: use 1-64 alphanumerics, `-` or `_`"));
@@ -125,8 +118,7 @@ impl RouterBuilder {
     /// being told where.
     pub fn add_snapshot(&mut self, name: &str, path: &Path) -> Result<(), String> {
         self.check_name(name)?;
-        let loaded = self
-            .open_snapshot(path)
+        let loaded = open_snapshot(path, self.degraded)
             .map_err(|e| format!("lake `{name}`: cannot open `{}`: {e}", path.display()))?;
         let service = LakeService::with_shared(
             loaded,
@@ -476,12 +468,7 @@ impl Router {
     /// off-lock: a corrupt file answers 422 and the live snapshot is
     /// untouched.
     fn swap_in(&self, slot: &LakeSlot, path: &Path) -> Result<(Arc<LakeService>, u64), ApiError> {
-        let loaded = if self.degraded {
-            gent_store::load_degraded(path)
-        } else {
-            SnapshotFile(path.to_path_buf()).load_lake()
-        }
-        .map_err(|e| {
+        let loaded = open_snapshot(path, self.degraded).map_err(|e| {
             ApiError::new(422, "reload_failed", format!("cannot load `{}`: {e}", path.display()))
         })?;
         let service = Arc::new(LakeService::with_shared(
@@ -652,10 +639,21 @@ fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
     })
 }
 
+/// Open the snapshot at `path` the way the daemon was told to — strict, or
+/// degraded (quarantining damaged tables) — for boot, reload and ingest
+/// alike.
+fn open_snapshot(path: &Path, degraded: bool) -> Result<LoadedLake, StoreError> {
+    if degraded {
+        gent_store::load_degraded(path)
+    } else {
+        gent_store::snapshot::load(path)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gent_store::{InMemory, LakeSource};
+    use gent_discovery::DataLake;
     use gent_table::{Table, Value as V};
 
     fn lake_tables(tag: &str) -> Vec<Table> {
@@ -683,7 +681,7 @@ mod tests {
     fn router() -> Router {
         let mut b = Router::builder(GenTConfig::default());
         for name in ["alpha", "beta"] {
-            let loaded = InMemory::new(lake_tables(name)).load_lake().unwrap();
+            let loaded = LoadedLake::from(DataLake::from_tables(lake_tables(name)));
             b.add_loaded(name, loaded, &format!("{name} origin")).unwrap();
         }
         b.build().unwrap()
@@ -705,11 +703,11 @@ mod tests {
     #[test]
     fn builder_rejects_bad_names() {
         let mut b = Router::builder(GenTConfig::default());
-        let loaded = InMemory::new(lake_tables("x")).load_lake().unwrap();
+        let loaded = LoadedLake::from(DataLake::from_tables(lake_tables("x")));
         b.add_loaded("ok-name", loaded, "o").unwrap();
-        let loaded = InMemory::new(lake_tables("x")).load_lake().unwrap();
+        let loaded = LoadedLake::from(DataLake::from_tables(lake_tables("x")));
         assert!(b.add_loaded("ok-name", loaded, "o").unwrap_err().contains("duplicate"));
-        let loaded = InMemory::new(lake_tables("x")).load_lake().unwrap();
+        let loaded = LoadedLake::from(DataLake::from_tables(lake_tables("x")));
         assert!(b.add_loaded("bad name!", loaded, "o").unwrap_err().contains("invalid"));
         assert!(Router::builder(GenTConfig::default()).build().is_err());
     }

@@ -489,7 +489,8 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 mod tests {
     use super::*;
     use gent_core::GenTConfig;
-    use gent_store::{InMemory, LakeSource};
+    use gent_discovery::DataLake;
+    use gent_store::LoadedLake;
     use gent_table::{Table, Value as V};
     use std::io::{Read, Write};
 
@@ -501,7 +502,7 @@ mod tests {
             vec![vec![V::Int(1), V::str("a")], vec![V::Int(2), V::str("b")]],
         )
         .unwrap()];
-        let loaded = InMemory::new(tables).load_lake().unwrap();
+        let loaded = LoadedLake::from(DataLake::from_tables(tables));
         let service = LakeService::new(loaded, GenTConfig::default(), "unit test");
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".into(),

@@ -344,7 +344,8 @@ pub struct LakeService {
 
 impl LakeService {
     /// Build the service around an already-loaded lake (typically from
-    /// [`gent_store::SnapshotFile`]); `origin` describes where it came from
+    /// [`gent_store::snapshot::load`], or `LoadedLake::from` a lake
+    /// `DataLake::from_tables` built); `origin` describes where it came from
     /// for `/lake/stat`. Construction touches only slot metadata — a
     /// lazily-opened snapshot stays fully undecoded until the first
     /// reclaim needs a table. The lake registers under the routing label
@@ -854,7 +855,6 @@ fn string_array(v: &Json) -> Option<Vec<String>> {
 mod tests {
     use super::*;
     use crate::routing::Router;
-    use gent_store::{InMemory, LakeSource};
     use gent_table::Value as V;
 
     fn service() -> LakeService {
@@ -877,7 +877,7 @@ mod tests {
             )
             .unwrap(),
         ];
-        let loaded = InMemory::new(tables).load_lake().unwrap();
+        let loaded = LoadedLake::from(DataLake::from_tables(tables));
         LakeService::new(loaded, GenTConfig::default(), "test lake")
     }
 
@@ -1047,7 +1047,7 @@ mod tests {
         )
         .unwrap();
         assert!(keyed.key_is_valid());
-        let loaded = InMemory::new(vec![keyed.clone()]).load_lake().unwrap();
+        let loaded = LoadedLake::from(DataLake::from_tables(vec![keyed.clone()]));
         let s = LakeService::new(loaded, GenTConfig::default(), "borrow test");
         let body = Json::parse(r#"{"source_name": "keyed"}"#).unwrap();
         let source = s.parse_source(&body).unwrap();

@@ -11,8 +11,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use gent_core::GenTConfig;
+use gent_discovery::DataLake;
 use gent_serve::{Json, LakeService, ServeConfig, Server};
-use gent_store::{InMemory, LakeSource};
+use gent_store::LoadedLake;
 use gent_table::{Table, Value as V};
 
 const QUEUE_BOUND: usize = 2;
@@ -25,7 +26,7 @@ fn boot() -> (SocketAddr, gent_serve::ServerHandle, std::thread::JoinHandle<std:
         vec![vec![V::Int(1), V::str("a")], vec![V::Int(2), V::str("b")]],
     )
     .unwrap()];
-    let loaded = InMemory::new(tables).load_lake().unwrap();
+    let loaded = LoadedLake::from(DataLake::from_tables(tables));
     let service = LakeService::new(loaded, GenTConfig::default(), "backpressure lake");
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),

@@ -11,8 +11,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gent_core::GenTConfig;
+use gent_discovery::DataLake;
 use gent_serve::{Json, LakeService, ServeConfig, Server, ServerHandle};
-use gent_store::{InMemory, LakeSource};
+use gent_store::LoadedLake;
 use gent_table::{Table, Value as V};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -29,7 +30,7 @@ fn test_server(threads: usize, drain_deadline: Duration) -> Server {
         vec![vec![V::Int(1), V::str("a")], vec![V::Int(2), V::str("b")]],
     )
     .unwrap()];
-    let loaded = InMemory::new(tables).load_lake().unwrap();
+    let loaded = LoadedLake::from(DataLake::from_tables(tables));
     let service = LakeService::new(loaded, GenTConfig::default(), "lifecycle lake");
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),

@@ -7,8 +7,9 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use gent_core::GenTConfig;
+use gent_discovery::DataLake;
 use gent_serve::{Json, LakeService, ServeConfig, Server, ServerHandle};
-use gent_store::{InMemory, LakeSource};
+use gent_store::LoadedLake;
 use gent_table::{Table, Value as V};
 
 fn boot() -> (SocketAddr, ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
@@ -19,7 +20,7 @@ fn boot() -> (SocketAddr, ServerHandle, std::thread::JoinHandle<std::io::Result<
         vec![vec![V::Int(0), V::str("Smith")], vec![V::Int(1), V::str("Brown")]],
     )
     .unwrap()];
-    let loaded = InMemory::new(tables).load_lake().unwrap();
+    let loaded = LoadedLake::from(DataLake::from_tables(tables));
     let service = LakeService::new(loaded, GenTConfig::default(), "malformed test lake");
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),

@@ -42,12 +42,12 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use gent_discovery::lake::Posting;
+use gent_discovery::lake::{table_postings, Posting};
 use gent_table::binary::{
     decode_string_table, decode_value, encode_table_columnar, encode_value_canonical, fold64,
     BinReader, BinWriter, StringTableBuilder,
 };
-use gent_table::{FxHashMap, FxHashSet, Table, Value};
+use gent_table::{FxHashMap, Table, Value};
 
 use crate::error::StoreError;
 use crate::format::{SectionDirV3, SnapshotHeader, FRAME_COMMIT, FRAME_MAGIC};
@@ -290,18 +290,13 @@ pub(crate) fn encode_frame(first_table: u32, tables: &[Table]) -> Vec<u8> {
         payload.put_raw(t);
     }
 
-    // The index delta: exactly what `DataLake::push_table` would have
-    // inserted — per-column distinct non-null values.
+    // The index delta: the new tables' postings, derived exactly as
+    // `DataLake::from_tables` derives them.
     let mut delta: FxHashMap<Value, Vec<Posting>> = FxHashMap::default();
     for (ti, t) in tables.iter().enumerate() {
         let table = first_table + ti as u32;
-        for (ci, _) in t.schema().columns().enumerate() {
-            let mut seen: FxHashSet<&Value> = FxHashSet::default();
-            for v in t.column(ci) {
-                if !v.is_null_like() && seen.insert(v) {
-                    delta.entry(v.clone()).or_default().push(Posting { table, column: ci as u16 });
-                }
-            }
+        for (v, column) in table_postings(t) {
+            delta.entry(v.clone()).or_default().push(Posting { table, column });
         }
     }
     let mut entries: Vec<(Vec<u8>, Vec<Posting>)> = delta
@@ -352,11 +347,17 @@ pub struct AppendOutcome {
 /// is acknowledged (returns `Ok`) only once the marker is durable; a
 /// crash at any earlier point leaves a torn tail the next open drops.
 ///
+/// A table wider than 65 535 columns is refused with
+/// [`StoreError::TooWide`] before the file is touched.
+///
 /// Fault sites (`gent-faults`): `store.append.write`, `store.append.sync`,
 /// `store.append.commit`.
 pub fn append_tables(path: &Path, tables: &[Table]) -> Result<AppendOutcome, StoreError> {
     if tables.is_empty() {
         return Err(StoreError::Corrupt("refusing to append an empty delta frame".into()));
+    }
+    for t in tables {
+        crate::snapshot::check_width(t.name(), t.n_cols())?;
     }
     let bytes = fs::read(path).map_err(|e| StoreError::io(path, e))?;
     let header = SnapshotHeader::decode(&bytes)?;
@@ -443,4 +444,83 @@ pub fn compact(path: &Path) -> Result<usize, StoreError> {
     crate::snapshot::write(path, &loaded.lake)?;
     crate::telemetry::instruments().compactions.inc();
     Ok(loaded.n_frames)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gent_table::Value as V;
+
+    /// Two tables covering every case the index delta decides on: nulls
+    /// (plain and labeled), a value repeated within one column, and a value
+    /// (`7`) shared across columns and across tables.
+    fn tables() -> Vec<Table> {
+        let a = Table::build(
+            "a",
+            &["x", "y"],
+            &[],
+            vec![
+                vec![V::Int(7), V::str("u")],
+                vec![V::Int(7), V::Null],
+                vec![V::Int(2), V::Int(7)],
+                vec![V::LabeledNull(1), V::str("u")],
+            ],
+        )
+        .unwrap();
+        let b = Table::build(
+            "b",
+            &["z"],
+            &[],
+            vec![vec![V::str("u")], vec![V::Int(7)], vec![V::Null], vec![V::Float(0.5)]],
+        )
+        .unwrap();
+        vec![a, b]
+    }
+
+    /// The bytes [`encode_frame`] produces, pinned across commits: length
+    /// and fold64 of a frame appending [`tables`] at lake index 3. A change
+    /// here is a format change to the delta log, like one to
+    /// `snapshot::tests::written_bytes_are_pinned`.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let frame = encode_frame(3, &tables());
+        assert_eq!(frame.len(), 290);
+        assert_eq!(fold64(&frame), 0x4c6f_58dc_3b30_2de4);
+    }
+
+    /// A table wider than a `u16` counts is refused — by an append and by a
+    /// full write alike — before a byte reaches the file, with an error
+    /// naming the table and its width: the file stays byte-identical and
+    /// still loads.
+    #[test]
+    fn wide_table_is_refused_before_a_byte_is_written() {
+        let dir = std::env::temp_dir().join(format!("gent-store-wide-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lake.gentlake");
+        crate::snapshot::write(&path, &gent_discovery::DataLake::from_tables(tables())).unwrap();
+        let before = fs::read(&path).unwrap();
+
+        let names: Vec<String> = (0..=u16::MAX as usize + 1).map(|i| format!("c{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let wide =
+            Table::build("wide", &names, &[], vec![(0..names.len() as i64).map(V::Int).collect()])
+                .unwrap();
+        let refused = |e: StoreError| matches!(&e, StoreError::TooWide { table, columns: 65_537 } if table == "wide");
+
+        let err = append_tables(&path, std::slice::from_ref(&wide)).unwrap_err();
+        assert!(refused(err));
+        assert_eq!(fs::read(&path).unwrap(), before, "a refused append touched the file");
+        let loaded = crate::snapshot::load(&path).unwrap();
+        assert_eq!(loaded.lake.len(), 2);
+        loaded.lake.decode_all(1).unwrap();
+        loaded.lake.ensure_index().unwrap();
+
+        let other = dir.join("wide.gentlake");
+        let err =
+            crate::snapshot::write(&other, &gent_discovery::DataLake::from_tables(vec![wide]))
+                .unwrap_err();
+        assert!(refused(err));
+        assert!(!other.exists() && !other.with_extension("gentlake.tmp").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

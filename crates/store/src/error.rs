@@ -17,6 +17,15 @@ pub enum StoreError {
     Table(TableError),
     /// The file is not a lake snapshot or has been damaged.
     Corrupt(String),
+    /// A table is wider than the format stores: column indices are `u16`,
+    /// so a snapshot table holds at most 65 535 columns. Refused before a
+    /// byte is written — the file on disk is untouched and still loads.
+    TooWide {
+        /// The table's name.
+        table: String,
+        /// Its column count.
+        columns: usize,
+    },
     /// The snapshot was written by an incompatible format version.
     Version {
         /// Version found in the file.
@@ -32,6 +41,11 @@ impl fmt::Display for StoreError {
             StoreError::Io { path, message } => write!(f, "i/o error on `{path}`: {message}"),
             StoreError::Table(e) => write!(f, "table error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
+            StoreError::TooWide { table, columns } => write!(
+                f,
+                "table `{table}` has {columns} columns; a snapshot table holds at most {}",
+                u16::MAX
+            ),
             StoreError::Version { found, supported } => write!(
                 f,
                 "snapshot format version {found} is not supported (this build reads {supported})"

@@ -11,28 +11,28 @@
 //!   (`"GENTLAKE"` magic) holding the tables **plus** their derived
 //!   structure, the inverted value index. [`snapshot::write()`] /
 //!   [`snapshot::load`] / [`snapshot::stat`];
-//! * [`ingest`] — parallel lake construction over scoped threads,
-//!   producing bit-identical structures to sequential `push_table`;
-//! * [`source`] — the [`LakeSource`] trait with [`InMemory`] (cold) and
-//!   [`SnapshotFile`] (warm) implementations, so pipelines can take
-//!   "a lake from wherever" without caring which;
 //! * [`mod@format`] — the container header shared by write/load/stat;
 //! * [`delta`] and [`mod@fsck`] — append-only delta frames with compaction,
 //!   and offline verification and repair.
 //!
-//! The codec primitives live in [`gent_table::binary`]; this crate owns the
-//! container layout and the discovery warm-start wiring
+//! A lake is built one way and opened one way: in memory by
+//! [`gent_discovery::DataLake::from_tables`], from a file by
+//! [`snapshot::load`] (or [`load_degraded`], which quarantines damaged
+//! tables instead of failing). The codec primitives live in
+//! [`gent_table::binary`]; this crate owns the container layout and the
+//! discovery warm-start wiring
 //! ([`gent_discovery::DataLake::from_slots_deferred`]).
 //!
 //! ```no_run
-//! use gent_store::{snapshot, InMemory, LakeSource, SnapshotFile};
+//! use gent_discovery::DataLake;
+//! use gent_store::snapshot;
 //! # fn main() -> Result<(), gent_store::StoreError> {
 //! # let tables = vec![];
-//! // Ingest once…
-//! let built = InMemory::new(tables).load_lake()?;
-//! snapshot::write("lake.gentlake".as_ref(), &built.lake)?;
+//! // Build once…
+//! let built = DataLake::from_tables(tables);
+//! snapshot::write("lake.gentlake".as_ref(), &built)?;
 //! // …reopen lazily: no table cells decode until a reclaim touches them.
-//! let warm = SnapshotFile("lake.gentlake".into()).load_lake()?;
+//! let warm = snapshot::load("lake.gentlake".as_ref())?;
 //! assert_eq!(warm.lake.tables_decoded(), 0);
 //! # Ok(()) }
 //! ```
@@ -43,9 +43,7 @@ pub mod delta;
 pub mod error;
 pub mod format;
 pub mod fsck;
-pub mod ingest;
 pub mod snapshot;
-pub mod source;
 pub(crate) mod telemetry;
 
 pub use delta::{append_tables, compact, frame_count, AppendOutcome};
@@ -54,23 +52,7 @@ pub use format::{
     SectionDirV3, SectionEntry, SectionRange, SnapshotHeader, SNAPSHOT_FORMAT_VERSION,
 };
 pub use fsck::{fsck, fsck_repair, FsckProblem, FsckReport};
-pub use ingest::ingest_tables;
 pub use snapshot::{load_degraded, LoadedLake, QuarantinedTable, SnapshotStat};
-pub use source::{InMemory, LakeSource, SnapshotFile};
-
-/// Convenience: open just the [`gent_discovery::DataLake`] from a snapshot.
-///
-/// # Examples
-///
-/// ```no_run
-/// # fn main() -> Result<(), gent_store::StoreError> {
-/// let lake = gent_store::open_lake("lake.gentlake".as_ref())?;
-/// println!("{} tables, {} indexed values", lake.len(), lake.index_len());
-/// # Ok(()) }
-/// ```
-pub fn open_lake(path: &std::path::Path) -> Result<gent_discovery::DataLake, StoreError> {
-    Ok(snapshot::load(path)?.lake)
-}
 
 /// The name a snapshot registers under when the caller does not pick one:
 /// the file stem, sanitised to the serve tier's routing alphabet

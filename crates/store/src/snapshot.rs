@@ -64,6 +64,23 @@ pub struct LoadedLake {
     pub n_frames: usize,
 }
 
+impl From<DataLake> for LoadedLake {
+    /// A lake built in memory, as a load that quarantined nothing and
+    /// folded no frames.
+    fn from(lake: DataLake) -> Self {
+        LoadedLake { lake, quarantined: Vec::new(), n_frames: 0 }
+    }
+}
+
+/// Refuse a table the format cannot hold — more columns than a `u16`
+/// counts — before any byte of it is written.
+pub(crate) fn check_width(table: &str, columns: usize) -> Result<(), StoreError> {
+    if columns > u16::MAX as usize {
+        return Err(StoreError::TooWide { table: table.to_string(), columns });
+    }
+    Ok(())
+}
+
 /// Summary of a snapshot file, read from the fixed header only — `lake stat`
 /// on a multi-gigabyte snapshot touches a few dozen bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +97,9 @@ pub struct SnapshotStat {
 /// bytes are assembled in memory, written to a temporary sibling file, and
 /// renamed over `path`, so a crash mid-write can neither leave a
 /// half-written snapshot nor destroy the previous one.
+///
+/// A table wider than 65 535 columns is refused with
+/// [`StoreError::TooWide`] before anything is written.
 ///
 /// The header's LSH flag and column count and the directory's `lsh` entry
 /// are always written as zeros: that section is retired (see
@@ -100,6 +120,9 @@ pub struct SnapshotStat {
 /// # Ok(()) }
 /// ```
 pub fn write(path: &Path, lake: &DataLake) -> Result<(), StoreError> {
+    for s in lake.slots() {
+        check_width(s.name(), s.n_cols())?;
+    }
     // A lazily-opened lake materializes every remaining slot up front so
     // any (checksum-defeating) cell corruption surfaces as an error here
     // rather than a panic mid-encode; a deferred index likewise, so the

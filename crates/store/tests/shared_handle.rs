@@ -1,5 +1,5 @@
 //! Regression tests for the shared-lake-handle contract: a lake loaded once
-//! from a [`LakeSource`] serves any number of reclamations without being
+//! from a snapshot serves any number of reclamations without being
 //! reopened, cloned, or mutated — the invariant `gent serve` builds on
 //! (concurrent requests borrow one `Arc`-shared lake).
 
@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use gent_core::{GenT, GenTConfig};
 use gent_datagen::suite::{build, BenchmarkId, SuiteConfig};
-use gent_store::{snapshot, InMemory, LakeSource, SnapshotFile};
+use gent_discovery::DataLake;
+use gent_store::snapshot;
 
 fn snapshot_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("gent-shared-handle-{}", std::process::id()));
@@ -15,20 +16,17 @@ fn snapshot_path(name: &str) -> std::path::PathBuf {
     dir.join(name)
 }
 
-/// Two sequential reclaims against one loaded `LakeSource` must yield
+/// Two sequential reclaims against one loaded snapshot must yield
 /// identical results — the first request must not consume, thaw, or
 /// otherwise degrade the handle for the second.
 #[test]
 fn sequential_reclaims_share_one_lake_handle() {
     let bench = build(BenchmarkId::TpTrSmall, &SuiteConfig::default());
     let path = snapshot_path("sequential.gentlake");
-    {
-        let built = InMemory::new(bench.lake_tables.clone()).load_lake().unwrap();
-        snapshot::write(&path, &built.lake).unwrap();
-    }
+    snapshot::write(&path, &DataLake::from_tables(bench.lake_tables.clone())).unwrap();
 
     // ONE source: open the snapshot once, reclaim twice against the handle.
-    let loaded = SnapshotFile(path.clone()).load_lake().unwrap();
+    let loaded = snapshot::load(&path).unwrap();
     assert!(loaded.lake.frozen_index().is_some(), "snapshot lakes serve from the frozen index");
 
     let gen_t = GenT::new(GenTConfig::default());
@@ -48,7 +46,7 @@ fn sequential_reclaims_share_one_lake_handle() {
 
     // And it matches a freshly opened lake exactly (no state bled between
     // requests).
-    let fresh = SnapshotFile(path).load_lake().unwrap();
+    let fresh = snapshot::load(&path).unwrap();
     let independent = gen_t.reclaim(source, &fresh.lake).unwrap();
     assert_eq!(first.eis, independent.eis);
     assert_eq!(first.reclaimed.rows(), independent.reclaimed.rows());
@@ -61,11 +59,8 @@ fn sequential_reclaims_share_one_lake_handle() {
 fn concurrent_reclaims_borrow_the_same_arc() {
     let bench = build(BenchmarkId::TpTrSmall, &SuiteConfig::default());
     let path = snapshot_path("concurrent.gentlake");
-    {
-        let built = InMemory::new(bench.lake_tables.clone()).load_lake().unwrap();
-        snapshot::write(&path, &built.lake).unwrap();
-    }
-    let loaded = Arc::new(SnapshotFile(path).load_lake().unwrap());
+    snapshot::write(&path, &DataLake::from_tables(bench.lake_tables.clone())).unwrap();
+    let loaded = Arc::new(snapshot::load(&path).unwrap());
     let gen_t = GenT::new(GenTConfig::default());
 
     let baseline = gen_t.reclaim(&bench.cases[0].source, &loaded.lake).unwrap();

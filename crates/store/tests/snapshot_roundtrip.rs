@@ -12,7 +12,7 @@ use gent_core::{GenT, GenTConfig};
 use gent_datagen::suite::{build, BenchmarkId, SuiteConfig};
 use gent_datagen::webgen::WebCorpusConfig;
 use gent_discovery::{DataLake, OverlapRetriever, TableRetriever};
-use gent_store::{ingest_tables, snapshot};
+use gent_store::snapshot;
 use gent_table::csv;
 
 struct Scratch(PathBuf);
@@ -89,7 +89,7 @@ fn retrieval_identical_after_snapshot_load() {
     let s = Scratch::new("retrieval");
     let bench = build(BenchmarkId::TpTrSmall, &tiny_suite());
 
-    let cold_lake = ingest_tables(bench.lake_tables.clone(), 2);
+    let cold_lake = DataLake::from_tables(bench.lake_tables.clone());
     let snap = s.0.join("lake.gentlake");
     snapshot::write(&snap, &cold_lake).unwrap();
     let warm_lake = snapshot::load(&snap).unwrap().lake;
@@ -108,21 +108,6 @@ fn retrieval_identical_after_snapshot_load() {
             case.id
         );
     }
-}
-
-/// Snapshots saved from a sequentially built lake and from the parallel
-/// ingest path are byte-identical — the two construction paths are
-/// interchangeable.
-#[test]
-fn sequential_and_parallel_ingest_snapshot_identically() {
-    let s = Scratch::new("paths");
-    let bench = build(BenchmarkId::TpTrSmall, &tiny_suite());
-    let a = s.0.join("sequential.gentlake");
-    let b = s.0.join("parallel.gentlake");
-    snapshot::write(&a, &DataLake::from_tables(bench.lake_tables.clone())).unwrap();
-    let parallel = ingest_tables(bench.lake_tables, 4);
-    snapshot::write(&b, &parallel).unwrap();
-    assert_eq!(fs::read(&a).unwrap(), fs::read(&b).unwrap());
 }
 
 /// Opening a snapshot must decisively beat rebuilding from CSV — that is

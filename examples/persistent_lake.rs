@@ -2,8 +2,8 @@
 //!
 //! The Gen-T pipeline assumes a long-lived lake queried by many source
 //! tables, but an in-memory [`DataLake`] pays the full indexing cost on
-//! every process start. `gent-store` fixes that: ingest once (in parallel),
-//! snapshot the lake *with* its inverted index, and every
+//! every process start. `gent-store` fixes that: build once with
+//! `DataLake::from_tables`, snapshot the lake *with* its inverted index, and every
 //! later run reopens it at memory-copy speed.
 //!
 //! ```text
@@ -14,16 +14,16 @@ use std::time::Instant;
 
 use gen_t::datagen::suite::{build, BenchmarkId, SuiteConfig};
 use gen_t::prelude::*;
-use gen_t::store::{ingest_tables, snapshot, LakeSource, SnapshotFile};
+use gen_t::store::snapshot;
 
 fn main() {
     // A TPC-H-style benchmark lake (32 tables) plus its reclamation tasks.
     let bench = build(BenchmarkId::TpTrSmall, &SuiteConfig::default());
     let snap = std::env::temp_dir().join("persistent_lake_demo.gentlake");
 
-    // ── Ingest once: parallel scans, then snapshot. ─────────────────────
+    // ── Build once, then snapshot. ─────────────────────────────────────
     let t0 = Instant::now();
-    let lake = ingest_tables(bench.lake_tables.clone(), 0);
+    let lake = DataLake::from_tables(bench.lake_tables.clone());
     snapshot::write(&snap, &lake).expect("save snapshot");
     let build_time = t0.elapsed();
 
@@ -39,7 +39,7 @@ fn main() {
 
     // ── Every later run: reopen warm. ───────────────────────────────────
     let t1 = Instant::now();
-    let warm = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
+    let warm = snapshot::load(&snap).expect("open snapshot");
     let open_time = t1.elapsed();
     println!(
         "reopened in {open_time:?} ({:.1}× faster than the build)",

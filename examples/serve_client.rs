@@ -11,7 +11,7 @@
 use gen_t::core::GenTConfig;
 use gen_t::prelude::*;
 use gen_t::serve::{LakeService, RetryClient, RetryPolicy, ServeConfig, Server};
-use gen_t::store::{snapshot, LakeSource, SnapshotFile};
+use gen_t::store::snapshot;
 
 fn main() {
     // ── A small lake: two fragments of a people table, snapshotted. ─────
@@ -41,7 +41,7 @@ fn main() {
     snapshot::write(&snap, &DataLake::from_tables(vec![ages, ids])).expect("save snapshot");
 
     // ── Boot the daemon exactly as `gent serve --lake` does. ────────────
-    let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
+    let loaded = snapshot::load(&snap).expect("open snapshot");
     let service = LakeService::new(loaded, GenTConfig::default(), snap.display().to_string());
     let cfg = ServeConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServeConfig::default() };
     let server = Server::bind(&cfg, service).expect("bind");

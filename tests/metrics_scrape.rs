@@ -12,7 +12,7 @@ use gen_t::core::GenTConfig;
 use gen_t::serve::{
     ClientResponse, Json, LakeService, RetryClient, RetryPolicy, ServeConfig, Server,
 };
-use gen_t::store::{LakeSource, SnapshotFile};
+use gen_t::store::snapshot;
 use gen_t::table::{csv, key::ensure_key};
 use gent_bench::promtext;
 
@@ -48,7 +48,7 @@ fn metrics_endpoint_survives_the_strict_parser() {
         snap.to_str().unwrap(),
     ]);
 
-    let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
+    let loaded = snapshot::load(&snap).expect("open snapshot");
     let service = LakeService::new(loaded, GenTConfig::default(), snap.display().to_string());
     let cfg = ServeConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServeConfig::default() };
     let server = Server::bind(&cfg, service).expect("bind");

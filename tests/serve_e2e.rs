@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use gen_t::core::GenTConfig;
 use gen_t::serve::{Json, LakeService, RetryClient, RetryPolicy, ServeConfig, Server};
-use gen_t::store::{LakeSource, SnapshotFile};
+use gen_t::store::snapshot;
 use gen_t::table::{csv, key::ensure_key};
 
 fn scratch(name: &str) -> PathBuf {
@@ -131,7 +131,7 @@ fn daemon_matches_one_shot_cli_byte_for_byte() {
         .expect("EIS line in cli output");
 
     // ── Boot the daemon on an ephemeral port over the same snapshot. ────
-    let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
+    let loaded = snapshot::load(&snap).expect("open snapshot");
     let service = LakeService::new(loaded, GenTConfig::default(), snap.display().to_string());
     let cfg = ServeConfig { addr: "127.0.0.1:0".into(), threads: 4, ..ServeConfig::default() };
     let server = Server::bind(&cfg, service).expect("bind");
@@ -250,7 +250,7 @@ fn stat_endpoints_decode_nothing_and_report_latency() {
         snap.to_str().unwrap(),
     ]);
 
-    let loaded = SnapshotFile(snap.clone()).load_lake().expect("open snapshot");
+    let loaded = snapshot::load(&snap).expect("open snapshot");
     assert_eq!(loaded.lake.tables_decoded(), 0, "open must decode nothing");
     let service = LakeService::new(loaded, GenTConfig::default(), snap.display().to_string());
     let cfg = ServeConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServeConfig::default() };
@@ -433,7 +433,7 @@ fn degraded_daemon_serves_unaffected_tables_byte_identically() {
     // verify on first decode, not at open) but forcing the corrupt table
     // must yield a structured error — never a silent wrong answer.
     {
-        let strict = SnapshotFile(damaged.clone()).load_lake().expect("lazy open");
+        let strict = snapshot::load(&damaged).expect("lazy open");
         assert!(
             strict.lake.decode_all(1).is_err(),
             "forcing the corrupt section must surface the checksum failure"
